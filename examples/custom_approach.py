@@ -35,13 +35,10 @@ class TransHSwap(UnifiedTransApproach):
     def _setup(self, pair, split, rng):
         super()._setup(pair, split, rng)
         # swap the relation model: TransE -> TransH
+        # (the base class builds the optimizer over _parameters() after
+        # _setup, so the new model's parameters are the ones trained)
         self.model = TransH(
             self.data.n_entities, self.data.n_relations, self.config.dim, rng
-        )
-        from repro.autodiff import get_optimizer
-
-        self.optimizer = get_optimizer(
-            self.config.optimizer, self.model.parameters(), self.config.lr
         )
         self.sampler = TruncatedSampler(self.data.n_entities, truncation=0.25)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..autodiff import Highway, Module, Parameter, get_optimizer, sparse_matmul, xavier_init
+from ..autodiff import Highway, Module, Parameter, sparse_matmul, xavier_init
 from ..embedding import normalized_adjacency
 from .base import ApproachInfo
 from .gcn_family import GCNApproachBase

@@ -74,7 +74,7 @@ class LiteralBlendApproach(UnifiedTransApproach):
                 targets.append(vec)
         if not rows:
             return
-        from ..autodiff import Parameter, get_optimizer
+        from ..autodiff import Parameter
 
         self._pull_rows = np.array(rows, dtype=np.int64)
         self._pull_targets = np.array(targets)
@@ -82,12 +82,6 @@ class LiteralBlendApproach(UnifiedTransApproach):
         self._pull_projection = Parameter(
             np.eye(self.config.dim), name=f"{self.info.name.lower()}.literal_proj"
         )
-        self.optimizer = get_optimizer(
-            self.config.optimizer,
-            self.model.parameters() + [self._pull_projection],
-            self.config.lr,
-        )
-        self.optimizer.track_touched = self.config.lazy_normalize
 
     def _parameters(self):
         params = super()._parameters()

@@ -1,9 +1,10 @@
 """Shared framework of the 12 entity alignment approaches.
 
 Mirrors the paper's Figure 1/4 decomposition: an *embedding module* (the
-subclass's ``_setup`` / ``_run_epoch``), an *alignment module* (distance
-metric + inference, provided here), and an *interaction mode* declared in
-each approach's :class:`ApproachInfo`.
+subclass's ``_setup`` plus its ``_batches`` / ``_negatives`` / ``_loss``
+/ ``_end_epoch`` hooks), an *alignment module* (distance metric +
+inference, provided here), and an *interaction mode* declared in each
+approach's :class:`ApproachInfo`.
 
 Training follows the common protocol of Table 4: fixed relation-triple
 batch size and early stopping when validation Hits@1 begins to drop
@@ -13,6 +14,7 @@ batch size and early stopping when validation Hits@1 begins to drop
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from ..alignment.evaluate import (
     calibrate_abstention,
     nil_aware_metrics,
 )
+from ..autodiff import Tensor, get_optimizer
 from ..autodiff.sparse import SparseGrad
 from ..faults import fault_point
 from ..kg import AlignmentSplit, EntityIndex, KGPair
@@ -45,6 +48,7 @@ __all__ = [
     "TrainingLog",
     "PairData",
     "EmbeddingApproach",
+    "permuted_chunks",
 ]
 
 
@@ -232,15 +236,28 @@ class PairData:
         )
 
 
+def permuted_chunks(rows: np.ndarray, size: int,
+                    rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Lazily yield ``rows`` in one fresh random order, ``size`` at a time."""
+    order = rng.permutation(len(rows))
+    for start in range(0, len(rows), size):
+        yield rows[order[start:start + size]]
+
+
 class EmbeddingApproach:
     """Template of an embedding-based entity alignment approach.
 
-    Subclasses implement ``_setup`` (build models from the pair + split)
-    and ``_run_epoch`` (one training pass returning the epoch loss), and
-    provide entity matrices via ``_source_matrix`` / ``_target_matrix``.
+    Subclasses build their models in ``_setup`` and list every trainable
+    parameter in ``_parameters``; the base then owns the one optimizer
+    and the one per-batch training loop.  A family only says what
+    differs: which batches (``_batches``), which negatives
+    (``_negatives``), which loss (``_loss``) and what happens at epoch
+    end (``_end_epoch``).  Entity matrices come from ``_source_matrix`` /
+    ``_target_matrix``.
     """
 
     info: ApproachInfo
+    lr_scale = 1.0  # multiplies config.lr for this family's optimizer
 
     def __init__(self, config: ApproachConfig | None = None):
         self.config = config or ApproachConfig()
@@ -254,27 +271,42 @@ class EmbeddingApproach:
     def _setup(self, pair: KGPair, split: AlignmentSplit, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def _run_epoch(self, epoch: int, rng: np.random.Generator) -> float:
-        raise NotImplementedError
-
     def _parameters(self):
-        """All trainable parameters (used for best-snapshot restore)."""
+        """All trainable parameters, in a stable order (the optimizer
+        state and checkpoints are indexed by it)."""
         raise NotImplementedError
 
-    def _normalize_model(self) -> None:
-        """Per-epoch entity renormalization for approaches with a
-        ``self.model`` relation model and ``self.optimizer``.
+    def _train_triples(self) -> np.ndarray:
+        """Relation triples the default :meth:`_batches` permutes."""
+        return self.data.triples
 
-        With ``lazy_normalize`` only the entity rows the optimizer
-        updated since the last epoch are projected back onto the unit
-        sphere — O(touched) instead of O(|E|) on the sparse path.
+    def _batches(self, epoch: int, rng: np.random.Generator) -> Iterator:
+        """One epoch's batches, lazily: batch ``k + 1``'s RNG draws follow
+        batch ``k``'s negatives and loss.  Default: permuted triples."""
+        return permuted_chunks(self._train_triples(), self.config.batch_size, rng)
+
+    def _negatives(self, batch, rng: np.random.Generator):
+        """Negative samples for ``batch``; default none."""
+        return None
+
+    def _loss(self, batch, negatives, rng: np.random.Generator) -> Tensor:
+        """Scalar training loss of one batch."""
+        raise NotImplementedError
+
+    def _end_epoch(self, epoch: int, rng: np.random.Generator) -> None:
+        """Work after the epoch's last step (renormalization, ...)."""
+
+    def _normalize(self, model) -> None:
+        """Project ``model``'s entity rows back onto the unit sphere.
+
+        With ``lazy_normalize`` only the rows the optimizer updated since
+        the last call are projected — O(touched) instead of O(|E|) on
+        the sparse path.
         """
         with span("normalize"):
-            if self.config.lazy_normalize:
-                rows = self.optimizer.consume_touched(self.model.entities.table)
-                self.model.normalize(rows=rows)
-            else:
-                self.model.normalize()
+            rows = (self.optimizer.consume_touched(model.entities.table)
+                    if self.config.lazy_normalize else None)
+            model.normalize(rows=rows)
 
     def _source_matrix(self, entities: list[str]) -> np.ndarray:
         """Embeddings of KG1 entities, mapped into the comparison space."""
@@ -347,6 +379,9 @@ class EmbeddingApproach:
         with span("fit", approach=self.info.name, dataset=pair.name):
             with span("setup"):
                 self._setup(pair, split, rng)
+                self.optimizer = get_optimizer(config.optimizer, self._parameters(),
+                                               config.lr * self.lr_scale)
+                self.optimizer.track_touched = config.lazy_normalize
 
             best_hits = -1.0
             best_state: list[np.ndarray] | None = None
@@ -357,7 +392,7 @@ class EmbeddingApproach:
             if resume_from is not None:
                 restored = TrainingCheckpointer(resume_from).try_restore(
                     self._parameters(),
-                    optimizer=getattr(self, "optimizer", None),
+                    optimizer=self.optimizer,
                     rng=rng,
                 )
             if restored is not None:
@@ -384,7 +419,7 @@ class EmbeddingApproach:
                 for epoch in range(start_epoch, config.epochs + 1):
                     epoch_started = time.perf_counter()
                     with span("epoch", epoch=epoch) as epoch_span:
-                        loss = self._run_epoch(epoch, rng)
+                        loss = self._train_epoch(epoch, rng)
                         epoch_span.set(loss=loss)
                     self.log.epoch_seconds.append(time.perf_counter() - epoch_started)
                     self.log.losses.append(loss)
@@ -431,7 +466,7 @@ class EmbeddingApproach:
                             checkpointer.save(
                                 epoch=epoch,
                                 parameters=self._parameters(),
-                                optimizer=getattr(self, "optimizer", None),
+                                optimizer=self.optimizer,
                                 rng=rng,
                                 log=self.log,
                                 best_state=best_state,
@@ -484,6 +519,25 @@ class EmbeddingApproach:
                             and monitor.last_hits1 is not None else {})},
             )
         return self.log
+
+    def _train_epoch(self, epoch: int, rng: np.random.Generator) -> float:
+        """The one zero_grad → backward → step loop; returns the mean loss."""
+        total, steps = 0.0, 0
+        for batch in self._batches(epoch, rng):
+            with span("neg_sampling"):
+                negatives = self._negatives(batch, rng)
+            self.optimizer.zero_grad()
+            with span("forward"):
+                loss = self._loss(batch, negatives, rng)
+            with span("backward"):
+                loss.backward()
+            with span("step"):
+                self.optimizer.step()
+            total += float(loss.data)
+            steps += 1
+        self.log.steps_run += steps
+        self._end_epoch(epoch, rng)
+        return total / max(steps, 1)
 
     # -- approach-specific resumable state -----------------------------
     def _extra_state(self) -> dict:

@@ -8,10 +8,12 @@ relational dependency that plain path composition (IPTransE) misses.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
-from ..autodiff import EmbeddingTable, GRUCell, Linear, Tensor, concat, get_optimizer
-from .base import ApproachConfig, ApproachInfo, EmbeddingApproach, PairData
+from ..autodiff import EmbeddingTable, GRUCell, Linear, Tensor, concat
+from .base import ApproachConfig, ApproachInfo, EmbeddingApproach, PairData, permuted_chunks
 
 __all__ = ["RSN4EA"]
 
@@ -45,8 +47,6 @@ class RSN4EA(EmbeddingApproach):
         self.skip_subject = Linear(config.dim, config.dim, rng, bias=False, name="rsn.s1")
         self.skip_hidden = Linear(config.dim, config.dim, rng, bias=False, name="rsn.s2")
         self._modules = [self.table, self.gru, self.skip_subject, self.skip_hidden]
-        parameters = [p for m in self._modules for p in m.parameters()]
-        self.optimizer = get_optimizer(config.optimizer, parameters, config.lr)
         self._adjacency = self._adjacency_lists(n_rel)
         self.walks = self._sample_walks(rng)
 
@@ -84,27 +84,14 @@ class RSN4EA(EmbeddingApproach):
             return np.zeros((0, length), dtype=np.int64)
         return np.array(walks, dtype=np.int64)
 
-    def _run_epoch(self, epoch, rng):
-        config = self.config
-        if not len(self.walks):
-            return 0.0
-        order = rng.permutation(len(self.walks))
-        batch_size = max(32, config.batch_size // 8)
-        total, batches = 0.0, 0
-        for start in range(0, len(self.walks), batch_size):
-            batch = self.walks[order[start:start + batch_size]]
-            loss = self._walk_loss(batch, rng)
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            total += float(loss.data)
-            batches += 1
-            if batches >= 8:  # cap per-epoch work on large corpora
-                break
-        return total / max(batches, 1)
+    def _batches(self, epoch, rng):
+        batch_size = max(32, self.config.batch_size // 8)
+        # cap per-epoch work on large corpora at 8 batches
+        return islice(permuted_chunks(self.walks, batch_size, rng), 8)
 
-    def _walk_loss(self, batch: np.ndarray, rng) -> Tensor:
-        """Sampled-softmax next-element prediction along the walks."""
+    def _loss(self, batch, negatives, rng) -> Tensor:
+        """Sampled-softmax next-element prediction along the walks (the
+        candidate negatives are drawn per position, inside the loss)."""
         n, length = batch.shape
         hidden = self.gru.initial_state(n)
         losses = []

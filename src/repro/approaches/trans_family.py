@@ -10,11 +10,11 @@ bootstrapping (BootEA).
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, get_optimizer
-from ..obs import span
+from ..autodiff import Parameter, Tensor
 from ..embedding import (
     TransE,
     TruncatedSampler,
@@ -76,53 +76,35 @@ class MTransE(EmbeddingApproach):
         )
         self.transform = Parameter(np.eye(config.dim), name="mtranse.M")
         self.seeds = self.data.seed_id_pairs(split.train)
-        parameters = self.model.parameters() + [self.transform]
-        self.optimizer = get_optimizer(config.optimizer, parameters, config.lr)
-        self.optimizer.track_touched = config.lazy_normalize
 
     def _parameters(self):
         return self.model.parameters() + [self.transform]
 
-    def _run_epoch(self, epoch, rng):
-        config = self.config
-        triples = self.data.triples
-        order = rng.permutation(len(triples))
-        total = 0.0
-        batches = 0
-        for start in range(0, len(triples), config.batch_size):
-            batch = triples[order[start:start + config.batch_size]]
-            self.optimizer.zero_grad()
-            if self.negative_sampling:
-                with span("neg_sampling"):
-                    corrupted = uniform_corrupt(
-                        batch, self.data.n_entities, config.n_negatives, rng
-                    )
-            with span("forward"):
-                positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-                if self.negative_sampling:
-                    negative = self.model.score(
-                        corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-                    )
-                    if self.loss_name == "logistic":
-                        loss = logistic_loss(positive, negative)
-                    else:
-                        loss = margin_ranking_loss(
-                            positive,
-                            negative.reshape(len(batch), config.n_negatives).mean(axis=1),
-                            margin=config.margin,
-                        )
-                else:
-                    loss = (-positive).mean()  # positive-energy minimization only
-                loss = loss + self._alignment_loss()
-            with span("backward"):
-                loss.backward()
-            with span("step"):
-                self.optimizer.step()
-            total += float(loss.data)
-            batches += 1
-        self.log.steps_run += batches
-        self._normalize_model()
-        return total / max(batches, 1)
+    def _negatives(self, batch, rng):
+        if not self.negative_sampling:
+            return None  # the original trains on positives only
+        return uniform_corrupt(batch, self.data.n_entities, self.config.n_negatives, rng)
+
+    def _loss(self, batch, negatives, rng):
+        positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        if negatives is None:
+            loss = (-positive).mean()  # positive-energy minimization only
+        else:
+            negative = self.model.score(
+                negatives[:, 0], negatives[:, 1], negatives[:, 2]
+            )
+            if self.loss_name == "logistic":
+                loss = logistic_loss(positive, negative)
+            else:
+                loss = margin_ranking_loss(
+                    positive,
+                    negative.reshape(len(batch), self.config.n_negatives).mean(axis=1),
+                    margin=self.config.margin,
+                )
+        return loss + self._alignment_loss()
+
+    def _end_epoch(self, epoch, rng):
+        self._normalize(self.model)
 
     def _alignment_loss(self) -> Tensor:
         if not len(self.seeds):
@@ -176,9 +158,6 @@ class SEA(MTransE):
             np.where((degrees >= low) & (degrees < high))[0]
             for low, high in ((0, 3), (3, 8), (8, np.inf))
         ]
-        parameters = self._parameters()
-        self.optimizer = get_optimizer(self.config.optimizer, parameters, self.config.lr)
-        self.optimizer.track_touched = self.config.lazy_normalize
 
     def _parameters(self):
         return super()._parameters() + [self.back_transform]
@@ -230,10 +209,6 @@ class UnifiedTransApproach(EmbeddingApproach):
         self.model = TransE(
             self.data.n_entities, self.data.n_relations, config.dim, rng
         )
-        self.optimizer = get_optimizer(
-            config.optimizer, self.model.parameters(), config.lr
-        )
-        self.optimizer.track_touched = config.lazy_normalize
         self.seeds = self.data.seed_id_pairs(split.train)
         # augmented alignment proposed during semi-supervised training
         self.augmented: dict[int, int] = {}
@@ -290,32 +265,14 @@ class UnifiedTransApproach(EmbeddingApproach):
         e2 = self.model.entities(ids[:, 1])
         return self.calibration_weight * (e1 - e2).square().sum(axis=1).mean()
 
-    def _run_epoch(self, epoch, rng):
-        config = self.config
-        triples = self._train_triples()
-        order = rng.permutation(len(triples))
-        total, batches = 0.0, 0
-        for start in range(0, len(triples), config.batch_size):
-            batch = triples[order[start:start + config.batch_size]]
-            with span("neg_sampling"):
-                corrupted = self._negatives(batch, rng)
-            self.optimizer.zero_grad()
-            with span("forward"):
-                positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-                negative = self.model.score(
-                    corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-                )
-                loss = self._triple_loss(positive, negative) + self._calibration_loss()
-            with span("backward"):
-                loss.backward()
-            with span("step"):
-                self.optimizer.step()
-            total += float(loss.data)
-            batches += 1
-        self.log.steps_run += batches
-        self._normalize_model()
+    def _loss(self, batch, negatives, rng):
+        positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        negative = self.model.score(negatives[:, 0], negatives[:, 1], negatives[:, 2])
+        return self._triple_loss(positive, negative) + self._calibration_loss()
+
+    def _end_epoch(self, epoch, rng):
+        self._normalize(self.model)
         self._after_epoch(epoch, rng)
-        return total / max(batches, 1)
 
     def _after_epoch(self, epoch, rng):
         """Semi-supervised hook; default no-op."""
@@ -384,6 +341,12 @@ class UnifiedTransApproach(EmbeddingApproach):
         )
 
 
+class _PathSample(NamedTuple):
+    """IPTransE's per-epoch batch of ``(r1, r2, r3)`` relation paths."""
+
+    paths: np.ndarray
+
+
 class IPTransE(UnifiedTransApproach):
     """Zhu et al. (2017): path-based embedding with iterative self-training.
 
@@ -439,25 +402,26 @@ class IPTransE(UnifiedTransApproach):
             return np.zeros((0, 3), dtype=np.int64)
         return np.array(paths, dtype=np.int64)
 
-    def _run_epoch(self, epoch, rng):
-        loss = super()._run_epoch(epoch, rng)
+    def _batches(self, epoch, rng):
+        yield from super()._batches(epoch, rng)
         if len(self._paths):
-            sample = self._paths[
+            # one relation-path composition step closes each epoch
+            yield _PathSample(self._paths[
                 rng.choice(len(self._paths), size=min(512, len(self._paths)), replace=False)
-            ]
-            self.optimizer.zero_grad()
-            with span("forward", phase="path"):
-                r1 = self.model.relations(sample[:, 0])
-                r2 = self.model.relations(sample[:, 1])
-                r3 = self.model.relations(sample[:, 2])
-                path_loss = ((r1 + r2) - r3).square().sum(axis=1).mean() * 0.3
-            with span("backward", phase="path"):
-                path_loss.backward()
-            with span("step", phase="path"):
-                self.optimizer.step()
-            self.log.steps_run += 1
-            loss += float(path_loss.data)
-        return loss
+            ])
+
+    def _negatives(self, batch, rng):
+        if isinstance(batch, _PathSample):
+            return None
+        return super()._negatives(batch, rng)
+
+    def _loss(self, batch, negatives, rng):
+        if not isinstance(batch, _PathSample):
+            return super()._loss(batch, negatives, rng)
+        r1 = self.model.relations(batch.paths[:, 0])
+        r2 = self.model.relations(batch.paths[:, 1])
+        r3 = self.model.relations(batch.paths[:, 2])
+        return ((r1 + r2) - r3).square().sum(axis=1).mean() * 0.3
 
     def _after_epoch(self, epoch, rng):
         if self.augment_every and epoch % self.augment_every == 0:

@@ -21,10 +21,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..autodiff import get_optimizer
 from ..embedding import TransE, margin_ranking_loss, uniform_corrupt
 from ..kg import EntityIndex, KnowledgeGraph
-from .base import ApproachConfig, ApproachInfo, EmbeddingApproach
+from .base import ApproachConfig, ApproachInfo, EmbeddingApproach, permuted_chunks
 
 __all__ = ["UnsupervisedProcrustes", "orthogonal_procrustes"]
 
@@ -44,8 +43,7 @@ def orthogonal_procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 class _SingleKGSpace:
     """A TransE embedding space for one KG (no cross-KG interaction)."""
 
-    def __init__(self, kg: KnowledgeGraph, config: ApproachConfig,
-                 rng: np.random.Generator):
+    def __init__(self, kg: KnowledgeGraph, dim: int, rng: np.random.Generator):
         self.index = EntityIndex(sorted(kg.entities))
         relations = EntityIndex(sorted(kg.relations) or ["_none_"])
         triples = [
@@ -56,35 +54,7 @@ class _SingleKGSpace:
             np.array(triples, dtype=np.int64)
             if triples else np.zeros((0, 3), dtype=np.int64)
         )
-        self.model = TransE(len(self.index), len(relations), config.dim, rng)
-        self.optimizer = get_optimizer(
-            config.optimizer, self.model.parameters(), config.lr
-        )
-        self.config = config
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        config = self.config
-        if not len(self.triples):
-            return 0.0
-        order = rng.permutation(len(self.triples))
-        total, batches = 0.0, 0
-        for start in range(0, len(self.triples), config.batch_size):
-            batch = self.triples[order[start:start + config.batch_size]]
-            corrupted = uniform_corrupt(
-                batch, len(self.index), config.n_negatives, rng
-            )
-            self.optimizer.zero_grad()
-            positive = self.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-            negative = self.model.score(
-                corrupted[:, 0], corrupted[:, 1], corrupted[:, 2]
-            ).reshape(len(batch), config.n_negatives).mean(axis=1)
-            loss = margin_ranking_loss(positive, negative, config.margin)
-            loss.backward()
-            self.optimizer.step()
-            total += float(loss.data)
-            batches += 1
-        self.model.normalize()
-        return total / max(batches, 1)
+        self.model = TransE(len(self.index), len(relations), dim, rng)
 
     def embeddings(self, entities: list[str]) -> np.ndarray:
         ids = [self.index.id_of(e) for e in entities]
@@ -113,8 +83,8 @@ class UnsupervisedProcrustes(EmbeddingApproach):
 
     # ------------------------------------------------------------------
     def _setup(self, pair, split, rng):
-        self.space1 = _SingleKGSpace(pair.kg1, self.config, rng)
-        self.space2 = _SingleKGSpace(pair.kg2, self.config, rng)
+        self.space1 = _SingleKGSpace(pair.kg1, self.config.dim, rng)
+        self.space2 = _SingleKGSpace(pair.kg2, self.config.dim, rng)
         self.pseudo_seeds = self._distant_supervision(pair)
         self.rotation = np.eye(self.config.dim)
         from .literals import value_word_vectors
@@ -147,16 +117,38 @@ class UnsupervisedProcrustes(EmbeddingApproach):
             seeds.append((entity1, entity2))
         return seeds
 
-    def _run_epoch(self, epoch, rng):
-        loss = self.space1.train_epoch(rng) + self.space2.train_epoch(rng)
-        return loss
-
     def _parameters(self):
         return self.space1.model.parameters() + self.space2.model.parameters()
 
-    def fit(self, pair, split):
+    def _trained_spaces(self) -> list[_SingleKGSpace]:
+        return [space for space in (self.space1, self.space2)
+                if len(space.triples)]
+
+    def _batches(self, epoch, rng):
+        """Space 1's batches, then space 2's: the spaces never interact."""
+        for space in self._trained_spaces():
+            for triples in permuted_chunks(space.triples, self.config.batch_size, rng):
+                yield space, triples
+
+    def _negatives(self, batch, rng):
+        space, triples = batch
+        return uniform_corrupt(triples, len(space.index), self.config.n_negatives, rng)
+
+    def _loss(self, batch, negatives, rng):
+        space, triples = batch
+        positive = space.model.score(triples[:, 0], triples[:, 1], triples[:, 2])
+        negative = space.model.score(
+            negatives[:, 0], negatives[:, 1], negatives[:, 2]
+        ).reshape(len(triples), self.config.n_negatives).mean(axis=1)
+        return margin_ranking_loss(positive, negative, self.config.margin)
+
+    def _end_epoch(self, epoch, rng):
+        for space in self._trained_spaces():
+            self._normalize(space.model)
+
+    def fit(self, pair, split, **options):
         """Unsupervised: the training seeds in ``split`` are never read."""
-        log = super().fit(pair, split)
+        log = super().fit(pair, split, **options)
         self._solve_procrustes()
         for _ in range(self.refinement_rounds):
             self._refine()

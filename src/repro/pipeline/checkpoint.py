@@ -16,13 +16,9 @@ import numpy as np
 from ..alignment import csls as csls_rescale
 from ..alignment import infer_alignment, rank_metrics, similarity_matrix
 from ..approaches.base import EmbeddingApproach
-from ..autodiff import Optimizer, Parameter
 from ..faults import atomic_write_with
 
-__all__ = [
-    "EmbeddingSnapshot", "save_snapshot", "load_snapshot",
-    "save_training_state", "load_training_state",
-]
+__all__ = ["EmbeddingSnapshot", "save_snapshot", "load_snapshot"]
 
 
 class EmbeddingSnapshot:
@@ -106,73 +102,6 @@ def save_snapshot(snapshot: EmbeddingSnapshot, path: Path | str) -> None:
         ),
         site="snapshot.save",
     )
-
-
-def save_training_state(
-    path: Path | str,
-    parameters: list[Parameter],
-    optimizer: Optimizer | None = None,
-) -> None:
-    """Persist parameters and (optionally) optimizer state to one ``.npz``.
-
-    Optimizer state is keyed by the parameter's *position* in the
-    parameter list (stable across processes — unlike ``id()``, which the
-    optimizers no longer use), so training can resume exactly:
-    Adam moments, Adagrad accumulators and momentum velocities all
-    round-trip.
-    """
-    arrays: dict[str, np.ndarray] = {
-        f"param_{index}": parameter.data
-        for index, parameter in enumerate(parameters)
-    }
-    arrays["param_names"] = np.array(
-        [parameter.name for parameter in parameters], dtype=object
-    )
-    if optimizer is not None:
-        state = optimizer.state_dict()
-        arrays["optimizer_lr"] = np.array(state["lr"])
-        for index, slot in state["state"].items():
-            for key, value in slot.items():
-                arrays[f"opt_{index}_{key}"] = np.asarray(value)
-    atomic_write_with(
-        path,
-        lambda handle: np.savez_compressed(handle, **arrays),
-        site="snapshot.save",
-    )
-
-
-def load_training_state(
-    path: Path | str,
-    parameters: list[Parameter],
-    optimizer: Optimizer | None = None,
-) -> None:
-    """Restore parameters (in place) and optimizer state saved by
-    :func:`save_training_state`.
-
-    ``parameters`` must be passed in the same order they were saved.
-    """
-    with np.load(path, allow_pickle=True) as data:
-        names = [str(name) for name in data["param_names"]]
-        if len(names) != len(parameters):
-            raise ValueError(
-                f"checkpoint holds {len(names)} parameters, got {len(parameters)}"
-            )
-        for index, parameter in enumerate(parameters):
-            saved = data[f"param_{index}"]
-            if saved.shape != parameter.data.shape:
-                raise ValueError(
-                    f"shape mismatch for parameter {index} "
-                    f"({names[index]!r}): {saved.shape} != {parameter.data.shape}"
-                )
-            parameter.data[...] = saved
-        if optimizer is not None and "optimizer_lr" in data:
-            state: dict = {"lr": float(data["optimizer_lr"]), "state": {}}
-            for key in data.files:
-                if not key.startswith("opt_"):
-                    continue
-                index_str, slot_key = key[len("opt_"):].split("_", 1)
-                state["state"].setdefault(int(index_str), {})[slot_key] = data[key]
-            optimizer.load_state_dict(state)
 
 
 def load_snapshot(path: Path | str) -> EmbeddingSnapshot:

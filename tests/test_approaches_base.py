@@ -169,7 +169,12 @@ def test_base_class_hooks_are_abstract():
     with pytest.raises(NotImplementedError):
         approach._setup(None, None, None)
     with pytest.raises(NotImplementedError):
-        approach._run_epoch(0, None)
+        approach._parameters()
+    with pytest.raises(NotImplementedError):
+        approach._loss(None, None, None)
+    # the optional hooks default to "no negatives" and "nothing to do"
+    assert approach._negatives(None, None) is None
+    assert approach._end_epoch(1, None) is None
 
 
 def test_evaluate_all_candidates_is_harder(enfr_pair, enfr_split, fast_config):

@@ -90,3 +90,17 @@ def test_composed_beats_random(enfr_pair, enfr_split, tiny_config):
     approach.fit(enfr_pair, enfr_split)
     hits1 = approach.evaluate(enfr_split.test, hits_at=(1,)).hits_at(1)
     assert hits1 > 3.0 / len(enfr_split.test)
+
+def test_composed_lazy_normalize_renormalizes_touched_rows():
+    """The composed model is the one the optimizer tracks, so lazy
+    normalization finds its touched rows and projects them back."""
+    from repro.datagen import smoke_pair
+
+    pair = smoke_pair()
+    split = pair.five_fold_splits(seed=0)[0]
+    approach = compose_approach()(
+        ApproachConfig(dim=16, epochs=2, valid_every=0, lazy_normalize=True))
+    approach.fit(pair, split)
+    touched = np.unique(approach.data.triples[:, [0, 2]])
+    norms = np.linalg.norm(approach.model.entity_embeddings()[touched], axis=1)
+    np.testing.assert_allclose(norms, 1.0, atol=1e-9)

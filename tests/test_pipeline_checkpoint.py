@@ -1,4 +1,5 @@
-"""Tests for embedding snapshots (save/load trained embeddings)."""
+"""Tests for embedding snapshots (save/load trained embeddings) and for
+training state round-tripping through ``TrainingCheckpointer``."""
 
 import numpy as np
 import pytest
@@ -78,8 +79,8 @@ def _train_steps(parameters, optimizer, steps, seed=0):
 
 
 def test_training_state_roundtrip_resumes_exactly(tmp_path):
+    from repro.approaches import TrainingCheckpointer
     from repro.autodiff import Adam, Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
     rng = np.random.default_rng(5)
     params = [Parameter(rng.normal(size=(6, 4)), name="entities"),
@@ -87,15 +88,15 @@ def test_training_state_roundtrip_resumes_exactly(tmp_path):
     optimizer = Adam(params, lr=0.05)
     _train_steps(params, optimizer, steps=4, seed=1)
 
-    path = tmp_path / "train_state.npz"
-    save_training_state(path, params, optimizer)
+    TrainingCheckpointer(tmp_path).save(epoch=1, parameters=params,
+                                        optimizer=optimizer)
     _train_steps(params, optimizer, steps=3, seed=2)
     reference = [p.data.copy() for p in params]
 
     fresh = [Parameter(np.zeros((6, 4)), name="entities"),
              Parameter(np.zeros((3, 4)), name="relations")]
     fresh_opt = Adam(fresh, lr=0.9)  # lr deliberately wrong; restored from file
-    load_training_state(path, fresh, fresh_opt)
+    TrainingCheckpointer(tmp_path).restore(fresh, optimizer=fresh_opt)
     assert fresh_opt.lr == pytest.approx(0.05)
     _train_steps(fresh, fresh_opt, steps=3, seed=2)
 
@@ -105,22 +106,23 @@ def test_training_state_roundtrip_resumes_exactly(tmp_path):
 
 def test_training_state_roundtrips_momentum_underscore_keys(tmp_path):
     """SGD momentum state includes a ``last_step`` key whose underscore
-    must survive the npz key encoding."""
+    must survive the checkpoint's ``opt_{index}_{key}`` npz encoding."""
+    from repro.approaches import TrainingCheckpointer
     from repro.autodiff import SGD, Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
     params = [Parameter(np.ones((4, 2)))]
     optimizer = SGD(params, lr=0.1, momentum=0.9)
     _train_steps(params, optimizer, steps=2, seed=3)
 
-    path = tmp_path / "sgd_state.npz"
-    save_training_state(path, params, optimizer)
+    TrainingCheckpointer(tmp_path).save(epoch=1, parameters=params,
+                                        optimizer=optimizer)
 
     fresh = [Parameter(np.ones((4, 2)))]
     fresh_opt = SGD(fresh, lr=0.1, momentum=0.9)
-    load_training_state(path, fresh, fresh_opt)
+    TrainingCheckpointer(tmp_path).restore(fresh, optimizer=fresh_opt)
     restored = fresh_opt.state_dict()["state"][0]
     original = optimizer.state_dict()["state"][0]
+    assert "last_step" in original
     assert set(restored) == set(original)
     for key in original:
         np.testing.assert_allclose(np.asarray(restored[key]),
@@ -128,25 +130,24 @@ def test_training_state_roundtrips_momentum_underscore_keys(tmp_path):
 
 
 def test_training_state_validates_parameter_count_and_shape(tmp_path):
+    from repro.approaches import CheckpointCorruption, TrainingCheckpointer
     from repro.autodiff import Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
     params = [Parameter(np.ones((3, 2)))]
-    path = tmp_path / "bad.npz"
-    save_training_state(path, params)
-    with pytest.raises(ValueError):
-        load_training_state(path, [])
-    with pytest.raises(ValueError):
-        load_training_state(path, [Parameter(np.ones((2, 2)))])
+    checkpointer = TrainingCheckpointer(tmp_path)
+    checkpointer.save(epoch=1, parameters=params)
+    with pytest.raises(CheckpointCorruption, match="parameters"):
+        checkpointer.restore([])
+    with pytest.raises(CheckpointCorruption, match="shape mismatch"):
+        checkpointer.restore([Parameter(np.ones((2, 2)))])
 
 
 def test_training_state_without_optimizer(tmp_path):
+    from repro.approaches import TrainingCheckpointer
     from repro.autodiff import Parameter
-    from repro.pipeline import load_training_state, save_training_state
 
     params = [Parameter(np.arange(6.0).reshape(3, 2))]
-    path = tmp_path / "params_only.npz"
-    save_training_state(path, params)
+    TrainingCheckpointer(tmp_path).save(epoch=1, parameters=params)
     fresh = [Parameter(np.zeros((3, 2)))]
-    load_training_state(path, fresh)
+    TrainingCheckpointer(tmp_path).restore(fresh)
     np.testing.assert_allclose(fresh[0].data, params[0].data)
