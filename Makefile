@@ -80,9 +80,10 @@ quality-smoke:
 	PYTHONPATH=src python -m pytest -q tests/test_quality_smoke.py
 
 # crash-replay suite: injected kills/torn writes at every persistence
-# site, then resume, asserting bit-identical training (docs/robustness.md)
+# site, then resume, asserting bit-identical training, plus the torn-line
+# contract of the one JSONL reader/appender (docs/robustness.md)
 faults-smoke:
-	PYTHONPATH=src python -m pytest -q tests/test_faults.py tests/test_crash_replay.py
+	PYTHONPATH=src python -m pytest -q tests/test_faults.py tests/test_crash_replay.py tests/test_jsonl.py
 
 # data-level robustness gate (<10s): corrupt the smoke pair with 20%
 # dangling entities, train the literal approach, calibrate abstention

@@ -252,6 +252,8 @@ class UnifiedTransApproach(EmbeddingApproach):
     def _triple_loss(self, positive: Tensor, negative: Tensor) -> Tensor:
         if self.loss_name == "limited":
             return limit_based_loss(positive, negative)
+        if self.loss_name == "logistic":
+            return logistic_loss(positive, negative)
         negative = negative.reshape(-1, self.config.n_negatives).mean(axis=1)
         return margin_ranking_loss(positive, negative, margin=self.config.margin)
 

@@ -866,12 +866,13 @@ def _cmd_obs_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_quality(args: argparse.Namespace) -> int:
-    from .obs import format_quality_table, load_events_tolerant
+    from .faults import read_jsonl
+    from .obs import format_quality_table
 
     if not args.quality_file.is_file():
         print(f"error: {args.quality_file} is not a file", file=sys.stderr)
         return 2
-    records, skipped = load_events_tolerant(args.quality_file)
+    records, _, skipped = read_jsonl(args.quality_file)
     print(format_quality_table(records))
     if skipped:
         print(f"(skipped {skipped} torn/unreadable line(s))")
@@ -1061,7 +1062,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from .obs import RunLedger, load_events_tolerant, render_prometheus
+    from .faults import read_jsonl
+    from .obs import RunLedger, render_prometheus
 
     if not args.prometheus:
         print("error: pick an export format (--prometheus)", file=sys.stderr)
@@ -1070,7 +1072,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         if not args.events.is_file():
             print(f"error: {args.events} is not a file", file=sys.stderr)
             return 2
-        events, _ = load_events_tolerant(args.events)
+        events, _, _ = read_jsonl(args.events)
         snapshots = [e["snapshot"] for e in events
                      if e.get("type") == "metrics" and "snapshot" in e]
         if not snapshots:

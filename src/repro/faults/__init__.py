@@ -1,6 +1,6 @@
 """``repro.faults`` — crash-safety primitives and fault injection.
 
-Two halves of one robustness story:
+Three parts of one robustness story:
 
 * :mod:`repro.faults.atomic` — the atomic-write helpers (tmp + fsync +
   ``os.replace`` + sha256) every on-disk artifact goes through, so a
@@ -8,7 +8,10 @@ Two halves of one robustness story:
 * :mod:`repro.faults.inject` — the deterministic fault-injection
   harness (named :func:`fault_point` sites, ``REPRO_FAULTS`` seeded
   schedules, raise/kill/partial-write/corrupt-bytes modes) that the
-  crash-replay test suite uses to *prove* it.
+  crash-replay test suite uses to *prove* it;
+* :mod:`repro.faults.records` — the record files built on both: the
+  one tolerant JSONL reader, the one self-healing JSONL appender and
+  the one fingerprint-checked progress file.
 
 See ``docs/robustness.md``.
 """
@@ -37,6 +40,7 @@ from .inject import (
     parse_plan,
     reset,
 )
+from .records import ProgressFile, append_jsonl, open_jsonl, read_jsonl
 
 __all__ = [
     "ENV_VAR", "KILL_EXIT_CODE",
@@ -45,4 +49,5 @@ __all__ = [
     "is_active", "inject",
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
     "atomic_write_lines", "atomic_write_with", "sha256_file",
+    "read_jsonl", "open_jsonl", "append_jsonl", "ProgressFile",
 ]

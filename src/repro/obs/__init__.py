@@ -28,21 +28,15 @@ See ``docs/observability.md`` for the full guide.
 
 from __future__ import annotations
 
-from .exporters import (
-    JsonLinesLogger,
-    render_prometheus,
-)
+from .exporters import render_prometheus
 from .live import (
     ProgressSink,
     StallDetector,
-    append_jsonl,
     format_top,
     get_progress,
-    open_bus,
     read_state,
     report_progress,
     set_progress_sink,
-    tail_jsonl,
 )
 from .ledger import (
     RunLedger,
@@ -90,9 +84,7 @@ from .report import (
     format_op_table,
     format_phase_table,
     format_quality_table,
-    load_events,
     load_events_merged,
-    load_events_tolerant,
     phase_breakdown,
 )
 from .trace import (
@@ -116,18 +108,16 @@ __all__ = [
     "peak_rss_tree_bytes",
     "OpProfiler", "OpStat", "enable_op_profiler", "disable_op_profiler",
     "profile_ops",
-    "load_events", "load_events_tolerant", "load_events_merged",
-    "phase_breakdown", "format_phase_table", "format_op_table",
-    "format_quality_table",
+    "load_events_merged", "phase_breakdown", "format_phase_table",
+    "format_op_table", "format_quality_table",
     "QualityMonitor", "ConformanceReport", "ConformanceRow",
     "conformance_report", "load_reference", "QUALITY_METRICS",
     "ProgressSink", "report_progress", "set_progress_sink",
     "get_progress", "StallDetector", "read_state", "format_top",
-    "tail_jsonl", "open_bus", "append_jsonl",
     "RunLedger", "RunRecord", "record_run", "default_ledger",
     "config_fingerprint", "validate_record",
     "GateReport", "MetricPolicy", "MetricVerdict", "gate",
-    "render_prometheus", "JsonLinesLogger",
+    "render_prometheus",
     "capture", "Capture",
 ]
 

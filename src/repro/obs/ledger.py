@@ -33,7 +33,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..faults import fault_point
+from ..faults import append_jsonl, atomic_write_lines, open_jsonl, read_jsonl
 from ..fingerprint import config_fingerprint, env_fingerprint
 from .registry import MetricsRegistry, get_registry
 
@@ -253,21 +253,12 @@ class RunLedger:
         """
         data = record.to_dict() if isinstance(record, RunRecord) else record
         validate_record(data)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(data, sort_keys=True, default=str)
         # A crash mid-append leaves at most one torn trailing line,
-        # which read() skips and compact() garbage-collects; the
-        # crash-replay suite injects here to prove it.
-        fault_point("ledger.append", path=self.path, data=(line + "\n").encode())
-        with open(self.path, "a+b") as handle:
-            # self-heal after a torn append: if the last byte is not a
-            # newline, start a fresh line so this record stays readable
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write((line + "\n").encode("utf-8"))
+        # which read() skips, the next append terminates and compact()
+        # garbage-collects; the crash-replay suite injects here to
+        # prove it.
+        with open_jsonl(self.path) as handle:
+            append_jsonl(handle, data, site="ledger.append")
         return data
 
     def try_append(self, record: RunRecord | dict) -> dict | None:
@@ -282,20 +273,14 @@ class RunLedger:
     # -- reading -------------------------------------------------------
     def read(self) -> tuple[list[dict], int]:
         """All schema-valid records plus the count of skipped bad lines."""
-        if not self.path.is_file():
-            return [], 0
-        records: list[dict] = []
-        skipped = 0
-        text = self.path.read_text(encoding="utf-8", errors="replace")
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        records, _, skipped = read_jsonl(self.path)
+        valid: list[dict] = []
+        for record in records:
             try:
-                records.append(validate_record(json.loads(line)))
-            except (json.JSONDecodeError, ValueError):
+                valid.append(validate_record(record))
+            except ValueError:
                 skipped += 1
-        return records, skipped
+        return valid, skipped
 
     def records(self) -> list[dict]:
         return self.read()[0]
@@ -410,12 +395,11 @@ class RunLedger:
                 seen_per_group[group] = seen_per_group.get(group, 0) + 1
                 kept.append(record)
         kept.reverse()
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in kept:
-                handle.write(json.dumps(record, sort_keys=True, default=str)
-                             + "\n")
-        tmp.replace(self.path)
+        atomic_write_lines(
+            self.path,
+            (json.dumps(record, sort_keys=True, default=str)
+             for record in kept),
+            site="ledger.compact")
         return len(kept), len(records) - len(kept) + skipped
 
 

@@ -1,5 +1,5 @@
-"""Live telemetry primitives: progress hook, JSONL tailing, stall
-detection and the ``obs-top`` dashboard state.
+"""Live telemetry primitives: progress hook, stall detection and the
+``obs-top`` dashboard state.
 
 This module is the generic half of the sweep telemetry stack (the
 sweep-specific writers live in :mod:`repro.orchestrate.telemetry`):
@@ -8,10 +8,6 @@ sweep-specific writers live in :mod:`repro.orchestrate.telemetry`):
   training loop calls once per epoch.  Like :func:`repro.obs.span`,
   the disabled path is one global read and one ``None`` check, so the
   untelemetered hot path pays nothing.
-* :func:`tail_jsonl` — incremental tolerant reader for append-only
-  JSONL event buses: resumes from a byte offset, never consumes a torn
-  trailing line (a writer may still be mid-append), and skips
-  malformed lines the same way the run-ledger reader does.
 * :class:`StallDetector` — heartbeat bookkeeping with an injectable
   clock: a key whose beats stop arriving for longer than ``timeout``
   transitions to *stalled*; a later beat transitions it back.
@@ -19,6 +15,10 @@ sweep-specific writers live in :mod:`repro.orchestrate.telemetry`):
   of a sweep from its telemetry directory (any process can do this
   while the sweep runs; everything is plain files) and render it as
   the refreshing terminal dashboard ``repro obs-top`` shows.
+
+The JSONL buses are read live with :func:`repro.faults.read_jsonl`:
+a torn trailing line (a writer may still be mid-append) is never
+consumed, and malformed complete lines are skipped and counted.
 
 On-disk layout of a sweep telemetry directory (all files are
 append-only JSONL except the atomically-replaced JSON documents)::
@@ -39,14 +39,13 @@ import json
 import time
 from pathlib import Path
 
+from ..faults import read_jsonl
+
 __all__ = [
     "report_progress",
     "get_progress",
     "set_progress_sink",
     "ProgressSink",
-    "tail_jsonl",
-    "append_jsonl",
-    "open_bus",
     "StallDetector",
     "read_state",
     "format_top",
@@ -101,77 +100,6 @@ def set_progress_sink(sink: ProgressSink | None) -> ProgressSink | None:
     previous = _PROGRESS_SINK
     _PROGRESS_SINK = sink
     return previous
-
-
-# ---------------------------------------------------------------------------
-# append-only JSONL buses
-# ---------------------------------------------------------------------------
-def append_jsonl(handle, record: dict) -> None:
-    """Append one event to an open binary bus handle and flush it.
-
-    The line is a single ``write`` call of a complete ``...\\n`` payload,
-    so concurrent readers either see the whole line or (after a crash
-    mid-write) a torn tail that :func:`tail_jsonl` refuses to consume.
-    """
-    handle.write(json.dumps(record, sort_keys=True, default=str)
-                 .encode("utf-8") + b"\n")
-    handle.flush()
-
-
-def open_bus(path: Path | str):
-    """Open an append-only JSONL bus, self-healing a torn trailing line.
-
-    Mirrors the run-ledger appender: if a previous writer died mid-line,
-    terminate the partial line first so this writer's records stay
-    parseable (readers skip the torn fragment).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = open(path, "ab")
-    if handle.tell() > 0:
-        with open(path, "rb") as probe:
-            probe.seek(-1, 2)
-            torn = probe.read(1) != b"\n"
-        if torn:
-            handle.write(b"\n")
-            handle.flush()
-    return handle
-
-
-def tail_jsonl(path: Path | str, offset: int = 0) -> tuple[list[dict], int, int]:
-    """Read complete JSONL records appended since ``offset``.
-
-    Returns ``(records, new_offset, skipped)``.  A trailing line without
-    its newline is left unconsumed (the writer may still be appending
-    it); malformed complete lines are counted in ``skipped`` and passed
-    over, matching the ledger reader's tolerance for torn writes.
-    """
-    path = Path(path)
-    records: list[dict] = []
-    skipped = 0
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            blob = handle.read()
-    except (FileNotFoundError, OSError):
-        return records, offset, skipped
-    end = blob.rfind(b"\n")
-    if end < 0:
-        return records, offset, skipped
-    for line in blob[:end].split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8", errors="replace"))
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(record, dict):
-            skipped += 1
-            continue
-        records.append(record)
-    return records, offset + end + 1, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +208,7 @@ def read_state(telemetry_dir: Path | str, now_unix: float | None = None) -> dict
     jobs = state["jobs"]
     workers = state["workers"]
     durations: list[float] = []
-    events, _, skipped = tail_jsonl(directory / "parent.jsonl")
+    events, _, skipped = read_jsonl(directory / "parent.jsonl", live=True)
     state["skipped_lines"] += skipped
     for event in events:
         kind = event.get("type")
@@ -348,7 +276,7 @@ def read_state(telemetry_dir: Path | str, now_unix: float | None = None) -> dict
     for path in sorted(directory.glob("worker_*.jsonl")):
         if path.name.endswith(".trace.jsonl"):
             continue
-        beats, _, skipped = tail_jsonl(path)
+        beats, _, skipped = read_jsonl(path, live=True)
         state["skipped_lines"] += skipped
         for beat in beats:
             if beat.get("type") != "heartbeat":

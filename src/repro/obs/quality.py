@@ -46,7 +46,8 @@ import numpy as np
 from ..alignment.evaluate import sample_candidate_indices, sampled_rank_metrics
 from ..alignment.metrics import similarity_matrix
 from ..autodiff.sparse import SparseGrad
-from .live import append_jsonl, open_bus, report_progress
+from ..faults import append_jsonl, open_jsonl
+from .live import report_progress
 from .registry import get_registry
 from .trace import tracing_enabled
 
@@ -292,8 +293,7 @@ class QualityMonitor:
         if self.path is None:
             return
         if self._bus is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._bus = open_bus(self.path)
+            self._bus = open_jsonl(self.path)
         append_jsonl(self._bus, dict(
             record,
             approach=self.approach.info.name,

@@ -8,62 +8,10 @@ count, wall time, CPU time, share of the root span and peak-RSS growth.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from ..faults import read_jsonl
 
-__all__ = ["load_events", "load_events_tolerant", "load_events_merged",
-           "phase_breakdown", "format_phase_table", "format_op_table",
-           "format_quality_table"]
-
-
-def load_events(path) -> list[dict]:
-    """Parse a JSON-lines event file (blank lines ignored).
-
-    Strict: the first malformed line raises :class:`ValueError`.  For
-    files that may end in a truncated line (an interrupted bench), use
-    :func:`load_events_tolerant`.
-    """
-    events = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {error}") from None
-        if not isinstance(event, dict):
-            raise ValueError(f"{path}:{lineno}: event must be a JSON object")
-        events.append(event)
-    return events
-
-
-def load_events_tolerant(path) -> tuple[list[dict], int]:
-    """Like :func:`load_events`, but skip unreadable lines.
-
-    A bench killed mid-write leaves a truncated trailing line; that
-    should cost a warning, not the whole report.  Returns the readable
-    events plus the count of lines skipped (malformed JSON, non-object
-    events, undecodable bytes).
-    """
-    events: list[dict] = []
-    skipped = 0
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(event, dict):
-            skipped += 1
-            continue
-        events.append(event)
-    return events, skipped
+__all__ = ["load_events_merged", "phase_breakdown", "format_phase_table",
+           "format_op_table", "format_quality_table"]
 
 
 def load_events_merged(paths) -> tuple[list[dict], int]:
@@ -84,11 +32,10 @@ def load_events_merged(paths) -> tuple[list[dict], int]:
     events: list[dict] = []
     skipped = 0
     for path in paths:
-        loaded, bad = load_events_tolerant(path)
+        loaded, _, bad = read_jsonl(path)
         for event in loaded:
             pid = event.get("pid")
             if pid is not None and event.get("type") == "span":
-                event = dict(event)
                 event["id"] = f"{pid}.{event['id']}"
                 if event.get("parent_id") is not None:
                     event["parent_id"] = f"{pid}.{event['parent_id']}"

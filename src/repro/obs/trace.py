@@ -24,6 +24,8 @@ import os
 import sys
 import time
 
+from ..faults.atomic import atomic_write_json, atomic_write_text
+
 __all__ = [
     "Tracer",
     "span",
@@ -155,9 +157,9 @@ class _Span:
         return False
 
 
-# Process-unique tracer ids: pid plus a monotone counter, so log lines
-# written by JsonLinesLogger can name the trace they belong to even
-# when several tracers run in one interpreter.
+# Process-unique tracer ids: pid plus a monotone counter, so events
+# can name the trace they belong to even when several tracers run in
+# one interpreter.
 _TRACE_COUNTER = itertools.count(1)
 
 
@@ -213,16 +215,15 @@ class Tracer:
         )
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
+        atomic_write_text(path, self.to_jsonl(), site="trace.write")
 
     def chrome_trace(self) -> dict:
         """The events as a Chrome Trace Event Format object."""
         return events_to_chrome(self.events)
 
     def write_chrome_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.chrome_trace(), handle, sort_keys=True)
+        atomic_write_json(path, self.chrome_trace(), site="trace.write",
+                          indent=None)
 
 
 def events_to_chrome(events: list[dict], *, default_pid: int | None = None,

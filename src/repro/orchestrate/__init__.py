@@ -11,11 +11,10 @@ afternoon into a budgeted, crash-safe, parallel sweep:
   jobs torn by worker crashes.
 * :mod:`~repro.orchestrate.halving` — successive-halving budgets and
   survivor selection on validation Hits@1.
-* :mod:`~repro.orchestrate.progress` — the atomic sweep-progress file
-  (resume a killed sweep; refuse mismatched specs by fingerprint).
 * :mod:`~repro.orchestrate.sweep` — the driver: TOML/JSON sweep specs,
-  grid expansion, the tune-then-cross-validate pipeline and ledger
-  recording.  See ``docs/orchestration.md``.
+  grid expansion, the tune-then-cross-validate pipeline, ledger
+  recording and the ``sweep_progress.json`` resume file (a
+  :class:`repro.faults.ProgressFile`).  See ``docs/orchestration.md``.
 * :mod:`~repro.orchestrate.telemetry` — distributed tracing + live
   telemetry for sweeps: per-worker heartbeat buses, stall detection and
   the stitched multi-process Chrome trace.  See
@@ -25,7 +24,6 @@ afternoon into a budgeted, crash-safe, parallel sweep:
 from .halving import HalvingSchedule, rung_budgets, select_survivors
 from .jobs import (JobResult, JobSpec, dataset_key, derive_seed,
                    execute_job, load_dataset)
-from .progress import PROGRESS_FILE, SweepProgress
 from .scheduler import ScheduleStats, run_jobs
 from .sweep import (SweepResult, SweepSpec, expand_grid, load_spec,
                     parse_spec, payload_metrics, run_sweep)
@@ -37,9 +35,7 @@ __all__ = [
     "HalvingSchedule",
     "JobResult",
     "JobSpec",
-    "PROGRESS_FILE",
     "ScheduleStats",
-    "SweepProgress",
     "SweepResult",
     "SweepSpec",
     "SweepTelemetry",

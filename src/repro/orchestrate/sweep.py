@@ -50,12 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..faults import ProgressFile
 from ..fingerprint import config_fingerprint
 from ..obs import get_registry, record_run, span
 from ..pipeline.runner import CVResult, fold_from_dict
 from .halving import HalvingSchedule
 from .jobs import JobSpec, dataset_key, execute_job, load_dataset
-from .progress import SweepProgress
 from .scheduler import ScheduleStats, run_jobs
 from .telemetry import SweepTelemetry
 
@@ -303,11 +303,12 @@ def run_sweep(
     registry = get_registry()
     result = SweepResult(sweep_id=spec.sweep_id, spec=spec)
 
-    progress: SweepProgress | None = None
+    progress: ProgressFile | None = None
     restored: dict[str, dict] = {}
     if workdir is not None:
         workdir = Path(workdir)
-        progress = SweepProgress(workdir, spec.payload())
+        progress = ProgressFile(workdir / "sweep_progress.json",
+                                spec.payload(), site="sweep.progress")
         restored = progress.load()
 
     sweep_telemetry: SweepTelemetry | None = None

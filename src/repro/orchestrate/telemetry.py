@@ -46,16 +46,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults.atomic import atomic_write_json
+from ..faults import append_jsonl, atomic_write_json, open_jsonl, read_jsonl
 from ..obs import get_registry
 from ..obs.live import (
     TELEMETRY_DIR,
     ProgressSink,
     StallDetector,
-    append_jsonl,
-    open_bus,
     set_progress_sink,
-    tail_jsonl,
 )
 from ..obs.trace import (
     Tracer,
@@ -110,8 +107,8 @@ class WorkerTelemetry:
         self.tracer = tracer
         self._task_q = task_q
         directory = Path(config.directory)
-        self._bus = open_bus(directory / f"worker_{config.worker}.jsonl")
-        self._trace_bus = open_bus(
+        self._bus = open_jsonl(directory / f"worker_{config.worker}.jsonl")
+        self._trace_bus = open_jsonl(
             directory / f"worker_{config.worker}.trace.jsonl")
         self._flushed = 0
         self._job_id: str | None = None
@@ -344,7 +341,7 @@ class SweepTelemetry:
             "heartbeat_interval": self.heartbeat_interval,
             "stall_intervals": self.stall_intervals,
         }, site="telemetry.meta")
-        self._bus = open_bus(self.directory / "parent.jsonl")
+        self._bus = open_jsonl(self.directory / "parent.jsonl")
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -423,7 +420,7 @@ class SweepTelemetry:
                 w for w in self._offsets if w not in self._alive]:
             path = self.directory / f"worker_{worker}.jsonl"
             offset = self._offsets.get(worker, 0)
-            beats, new_offset, _ = tail_jsonl(path, offset)
+            beats, new_offset, _ = read_jsonl(path, offset, live=True)
             self._offsets[worker] = new_offset
             fresh = [b for b in beats if b.get("type") == "heartbeat"]
             if not fresh:
@@ -593,7 +590,7 @@ def stitch_events(parent_events: list[dict], parent_pid: int,
         event["trace_id"] = trace_id
         events.append(event)
     for path in worker_files:
-        lines, _, torn = tail_jsonl(path)
+        lines, _, torn = read_jsonl(path, live=True)
         skipped += torn
         for event in lines:
             worker = event.get("worker", "?")

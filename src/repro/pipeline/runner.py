@@ -8,7 +8,6 @@ numbers Table 5 and Figure 8 report.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,17 +19,13 @@ from ..alignment.evaluate import DanglingMetrics, RankMetrics
 from ..approaches.base import EmbeddingApproach, TrainingLog
 from ..datagen.corruption import dangling_sources
 from ..approaches.checkpointing import _log_to_dict, restore_log_fields
-from ..faults import atomic_write_json, fault_point
-from ..fingerprint import config_fingerprint
+from ..faults import ProgressFile
 from ..kg import AlignmentSplit, KGPair
 from ..obs import peak_rss_tree_bytes, span
 from ..obs.ledger import record_run
 
 __all__ = ["FoldResult", "CVResult", "run_fold", "cross_validate",
            "fold_to_dict", "fold_from_dict"]
-
-_PROGRESS_FILE = "cv_progress.json"
-
 
 @dataclass
 class FoldResult:
@@ -209,11 +204,15 @@ def cross_validate(
     config = {"approach": name, "dataset": pair.name,
               "n_folds": n_folds, "seed": seed, "hits_at": list(hits_at)}
     completed: dict[int, FoldResult] = {}
-    progress_path: Path | None = None
+    progress: ProgressFile | None = None
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
-        progress_path = checkpoint_dir / _PROGRESS_FILE
-        completed = _load_cv_progress(progress_path, config)
+        # refuses a file written under another config (approach,
+        # dataset, seed, fold count) instead of mixing folds
+        progress = ProgressFile(checkpoint_dir / "cv_progress.json", config,
+                                site="cv.progress")
+        completed = {int(job_id.removeprefix("fold_")): fold_from_dict(data)
+                     for job_id, data in progress.load().items()}
     result = CVResult(name=name, dataset=pair.name)
     if completed:
         result.status = "resumed"
@@ -228,7 +227,7 @@ def cross_validate(
                 splits=splits, hits_at=hits_at, jobs=jobs,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
-                progress_path=progress_path, config=config, name=name,
+                progress=progress, name=name,
             )
             result.folds = [completed[k] for k in sorted(completed)]
         else:
@@ -247,8 +246,9 @@ def cross_validate(
                     break
                 result.folds.append(fold)
                 completed[fold_index] = fold
-                if progress_path is not None:
-                    _save_cv_progress(progress_path, config, completed)
+                if progress is not None:
+                    progress.record(_FoldTask(fold_index).job_id,
+                                    fold_to_dict(fold))
         if result.status != "interrupted" and any(
             fold.log.status == "diverged" for fold in result.folds
         ):
@@ -324,51 +324,6 @@ def fold_from_dict(data: dict) -> FoldResult:
     )
 
 
-def _load_cv_progress(path: Path, config: dict) -> dict[int, FoldResult]:
-    """Completed folds recorded by an earlier (interrupted) run.
-
-    Refuses to mix runs: a progress file whose config fingerprint (see
-    :mod:`repro.fingerprint`) differs — another approach, dataset, seed
-    or fold count — raises instead of silently merging incomparable
-    folds.  An unreadable progress file also raises — the file is
-    written atomically, so damage means something outside this code
-    touched it.
-    """
-    if not path.is_file():
-        return {}
-    fault_point("cv.progress", path=path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise RuntimeError(
-            f"unreadable cross-validation progress file {path}: {error}"
-        ) from error
-    recorded = data.get("config", {})
-    expected = config_fingerprint(config, include_env=False)
-    stored = data.get("fingerprint",
-                      config_fingerprint(recorded, include_env=False))
-    if stored != expected:
-        raise ValueError(
-            f"cross-validation progress at {path} was written for "
-            f"{recorded}, not {config}; use a fresh checkpoint directory"
-        )
-    return {int(key): fold_from_dict(fold_data)
-            for key, fold_data in data.get("folds", {}).items()}
-
-
-def _save_cv_progress(path: Path, config: dict,
-                      completed: dict[int, FoldResult]) -> None:
-    """Atomically rewrite the progress file with every completed fold."""
-    payload = {
-        "schema": 1,
-        "config": config,
-        "fingerprint": config_fingerprint(config, include_env=False),
-        "folds": {str(index): fold_to_dict(fold)
-                  for index, fold in completed.items()},
-    }
-    atomic_write_json(path, payload, site="cv.progress")
-
-
 # ---------------------------------------------------------------------------
 # parallel fold execution (delegates to repro.orchestrate)
 # ---------------------------------------------------------------------------
@@ -401,15 +356,15 @@ def _run_fold_task(task: _FoldTask, *, factory, pair, splits, hits_at,
 
 
 def _parallel_folds(pending, completed, *, factory, pair, splits, hits_at,
-                    jobs, checkpoint_dir, checkpoint_every, progress_path,
-                    config, name) -> None:
+                    jobs, checkpoint_dir, checkpoint_every, progress,
+                    name) -> None:
     """Fan the pending folds out over worker processes."""
     from ..orchestrate.scheduler import run_jobs
 
     def on_complete(task, payload):
         completed[task.fold] = fold_from_dict(payload)
-        if progress_path is not None:
-            _save_cv_progress(progress_path, config, completed)
+        if progress is not None:
+            progress.record(task.job_id, payload)
 
     _, stats = run_jobs(
         [_FoldTask(fold=k) for k in pending],

@@ -104,3 +104,30 @@ def test_composed_lazy_normalize_renormalizes_touched_rows():
     touched = np.unique(approach.data.triples[:, [0, 2]])
     norms = np.linalg.norm(approach.model.entity_embeddings()[touched], axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+
+def test_composed_logistic_loss_is_logistic():
+    """``loss="logistic"`` trains with the logistic loss, not the margin."""
+    from repro.datagen import smoke_pair
+    from repro.embedding import logistic_loss, margin_ranking_loss
+
+    pair = smoke_pair()
+    split = pair.five_fold_splits(seed=0)[0]
+    approach = compose_approach(combination="calibration", loss="logistic")(
+        ApproachConfig(dim=16, epochs=1, valid_every=0, n_negatives=3))
+    approach.fit(pair, split)
+    rng = np.random.default_rng(0)
+    batch = approach.data.triples[:16]
+    negatives = approach._negatives(batch, rng)
+    positive = approach.model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+    negative = approach.model.score(
+        negatives[:, 0], negatives[:, 1], negatives[:, 2])
+    calibration = approach._calibration_loss().item()
+    assert calibration > 0
+    expected = logistic_loss(positive, negative).item() + calibration
+    assert approach._loss(batch, negatives, rng).item() == \
+        pytest.approx(expected, rel=1e-12)
+    margin = margin_ranking_loss(
+        positive, negative.reshape(-1, 3).mean(axis=1),
+        margin=approach.config.margin).item() + calibration
+    assert margin != pytest.approx(expected, rel=1e-6)

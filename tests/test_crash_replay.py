@@ -154,6 +154,26 @@ def test_crash_mid_ledger_append_leaves_skippable_line(tmp_path):
     assert [r["run_id"] for r in records] == ["r0", "r2"]
 
 
+def test_crash_mid_ledger_compact_preserves_ledger(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    record = {"schema_version": 1, "ts_utc": "t", "kind": "train",
+              "name": "a", "fingerprint": "f" * 16, "git": {}, "host": {},
+              "config": {}, "scalars": {}, "metrics": {}}
+    for index in range(4):
+        ledger.append(dict(record, run_id=f"r{index}"))
+    with faults.inject("ledger.append:nth=1:mode=partial"):
+        with pytest.raises(InjectedFault):
+            ledger.append(dict(record, run_id="torn"))
+    ledger.append(dict(record, run_id="r4"))
+    before = ledger.read()
+    assert before[1] == 1
+    with faults.inject("ledger.compact:nth=1:mode=partial"):
+        with pytest.raises(InjectedFault):
+            ledger.compact(keep_last=2)
+    # the crash tore the tmp sibling, never the ledger itself
+    assert ledger.read() == before
+
+
 # ------------------------------------------------------------------ site 4
 def test_crash_mid_snapshot_save_preserves_old_file(tmp_path):
     rng = np.random.default_rng(0)

@@ -193,3 +193,57 @@ def test_fault_plan_add_and_times():
         fault_point("s")  # times=2 exhausted
     finally:
         faults.reset()
+
+
+# ---------------------------------------------------------------- trace export
+def test_trace_writers_preserve_old_file_on_crash(tmp_path):
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer()
+    with tracer.span("first"):
+        pass
+    events_path = tmp_path / "events.jsonl"
+    trace_path = tmp_path / "trace.json"
+    tracer.write_jsonl(events_path)
+    tracer.write_chrome_trace(trace_path)
+    old_events = events_path.read_bytes()
+    old_trace = trace_path.read_bytes()
+    with tracer.span("second"):
+        pass
+    with faults.inject("trace.write:nth=1:mode=partial"):
+        with pytest.raises(InjectedFault):
+            tracer.write_jsonl(events_path)
+    with faults.inject("trace.write:nth=1:mode=partial"):
+        with pytest.raises(InjectedFault):
+            tracer.write_chrome_trace(trace_path)
+    # the torn bytes landed in the tmp siblings, never the final files
+    assert events_path.read_bytes() == old_events
+    assert trace_path.read_bytes() == old_trace
+    assert json.loads(trace_path.read_text())["traceEvents"]
+
+
+# ---------------------------------------------------------------- site table
+def _documented_sites() -> set[str]:
+    import re
+
+    doc = Path(__file__).resolve().parents[1] / "docs" / "robustness.md"
+    sites: set[str] = set()
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split("|")[1]
+            sites.update(re.findall(r"`([^`]+)`", first_cell))
+    return sites
+
+
+def test_every_fault_site_is_documented():
+    import re
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    pattern = re.compile(r'(?:fault_point\(\s*|site=)"([^"]+)"')
+    fired = set()
+    for path in src.rglob("*.py"):
+        fired.update(pattern.findall(path.read_text(encoding="utf-8")))
+    assert len(fired) >= 18
+    missing = sorted(fired - _documented_sites())
+    assert not missing, (
+        f"fault sites missing from the docs/robustness.md table: {missing}")

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.faults import read_jsonl
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, events_to_chrome
 
@@ -93,15 +94,20 @@ class TestTracer:
         tracer.event("metrics", "registry", snapshot={"counters": {}})
         path = tmp_path / "events.jsonl"
         tracer.write_jsonl(path)
-        events = obs.load_events(path)
+        events, _, skipped = read_jsonl(path)
+        assert skipped == 0
         assert [e["type"] for e in events] == ["span", "metrics"]
         assert events[0]["dur_s"] == pytest.approx(1.0)
 
     def test_load_events_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok": 1}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            obs.load_events(path)
+        events, _, skipped = read_jsonl(path)
+        assert events == [{"ok": 1}]
+        assert skipped == 1
+
+    def test_distinct_tracers_get_distinct_trace_ids(self):
+        assert Tracer().trace_id != Tracer().trace_id
 
 
 class TestChromeTrace:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import cli, obs
+from repro.faults import read_jsonl
 from repro.approaches import ApproachConfig
 from repro.approaches.trans_family import MTransE
 from repro.autodiff.tensor import Tensor
@@ -264,7 +265,8 @@ class TestCLIRoundTrip:
                 assert event["ph"] == "X"
                 assert {"name", "ts", "dur", "pid", "tid"} <= set(event)
 
-        events = obs.load_events(events_path)
+        events, _, skipped = read_jsonl(events_path)
+        assert skipped == 0
         assert any(e.get("type") == "op_profile" for e in events)
         assert any(e.get("type") == "span" and e["name"] == "fit"
                    for e in events)
@@ -301,7 +303,5 @@ class TestObsReportTolerance:
     def test_load_events_strict_vs_tolerant(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(self.SPAN + "\nbroken\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            obs.load_events(path)
-        events, skipped = obs.load_events_tolerant(path)
+        events, _, skipped = read_jsonl(path)
         assert len(events) == 1 and skipped == 1

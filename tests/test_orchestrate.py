@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.faults import ProgressFile
 from repro.fingerprint import config_fingerprint, fingerprint
 from repro.obs.ledger import record_sweep_id, sweep_where
 from repro.orchestrate import (
     HalvingSchedule,
     JobSpec,
-    SweepProgress,
     derive_seed,
     expand_grid,
     load_spec,
@@ -182,30 +182,36 @@ def test_load_spec_toml_and_json_agree(tmp_path):
 # ---------------------------------------------------------------------------
 # progress file
 # ---------------------------------------------------------------------------
+def _sweep_progress(workdir, config):
+    return ProgressFile(workdir / "sweep_progress.json", config,
+                        site="sweep.progress")
+
+
 def test_sweep_progress_roundtrip_and_mismatch(tmp_path):
-    progress = SweepProgress(tmp_path, {"name": "a"})
+    progress = _sweep_progress(tmp_path, {"name": "a"})
     assert progress.load() == {}
     progress.record("job1", {"score": 0.5})
     progress.record("job2", {"score": 0.7})
-    reopened = SweepProgress(tmp_path, {"name": "a"})
+    reopened = _sweep_progress(tmp_path, {"name": "a"})
     assert reopened.load() == {"job1": {"score": 0.5},
                                "job2": {"score": 0.7}}
     with pytest.raises(ValueError, match="fresh --workdir"):
-        SweepProgress(tmp_path, {"name": "b"}).load()
+        _sweep_progress(tmp_path, {"name": "b"}).load()
 
 
 def test_sweep_progress_rejects_corrupt_file(tmp_path):
-    progress = SweepProgress(tmp_path, {"name": "a"})
+    progress = _sweep_progress(tmp_path, {"name": "a"})
     progress.record("job1", {"score": 0.5})
     progress.path.write_text("{not json", encoding="utf-8")
     with pytest.raises(RuntimeError, match="unreadable"):
-        SweepProgress(tmp_path, {"name": "a"}).load()
+        _sweep_progress(tmp_path, {"name": "a"}).load()
 
 
-def test_sweep_progress_env_does_not_change_fingerprint(monkeypatch):
-    before = SweepProgress("unused", {"name": "a"}).fingerprint
+def test_sweep_progress_env_does_not_change_fingerprint(monkeypatch,
+                                                        tmp_path):
+    before = _sweep_progress(tmp_path, {"name": "a"}).fingerprint
     monkeypatch.setenv("REPRO_BENCH_TRACE", "1")
-    assert SweepProgress("unused", {"name": "a"}).fingerprint == before
+    assert _sweep_progress(tmp_path, {"name": "a"}).fingerprint == before
 
 
 # ---------------------------------------------------------------------------

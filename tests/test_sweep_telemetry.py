@@ -18,10 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro import faults
+from repro.faults import read_jsonl
 from repro.obs import (MetricsRegistry, StallDetector, format_top,
                        label_snapshot, peak_rss_bytes,
                        peak_rss_children_bytes, peak_rss_tree_bytes,
-                       read_state, set_registry, tail_jsonl)
+                       read_state, set_registry)
 from repro.obs.report import load_events_merged
 from repro.orchestrate import (SweepTelemetry, parse_spec, payload_metrics,
                                run_sweep, stitch_events)
@@ -424,7 +425,7 @@ def test_read_state_tolerates_torn_lines_and_unknown_kinds(tmp_path):
         + json.dumps({"type": "mystery", "payload": {"x": 1}}) + "\n"
         + '{"type": "heartbeat", "worker": 0, "ts_un')
 
-    events, _, skipped = tail_jsonl(parent)
+    events, _, skipped = read_jsonl(parent, live=True)
     assert skipped == 1  # the malformed complete line only
     assert [e["type"] for e in events] == \
         ["job_state", "quality_blob", "job_state"]
