@@ -9,6 +9,7 @@ CSLS (Eq. 7) is the hubness-corrected metric of §6.1.2.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "cosine_similarity",
@@ -40,15 +41,10 @@ def euclidean_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def manhattan_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Negated pairwise L1 distance (blocked to bound memory)."""
-    n, m = len(source), len(target)
-    out = np.empty((n, m))
-    block = max(1, 2**22 // max(m * source.shape[1], 1))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[start:stop] = -np.abs(
-            source[start:stop, None, :] - target[None, :, :]
-        ).sum(axis=2)
+    """Negated pairwise L1 distance (scipy's ``cityblock`` kernel: no
+    n×m×d temporary, ~10x faster than a numpy broadcast)."""
+    out = cdist(source, target, "cityblock")
+    np.negative(out, out=out)
     return out
 
 

@@ -294,7 +294,16 @@ class EmbeddingApproach:
         raise NotImplementedError
 
     def _end_epoch(self, epoch: int, rng: np.random.Generator) -> None:
-        """Work after the epoch's last step (renormalization, ...)."""
+        """Work after the epoch's last step; by default renormalizes
+        the entity rows of every :meth:`_normalized_models` model."""
+        for model in self._normalized_models():
+            self._normalize(model)
+
+    def _normalized_models(self) -> list:
+        """Models whose entities are kept on the unit sphere.  With
+        ``lazy_normalize`` the optimizer records touched rows for their
+        entity tables only."""
+        return []
 
     def _normalize(self, model) -> None:
         """Project ``model``'s entity rows back onto the unit sphere.
@@ -381,7 +390,10 @@ class EmbeddingApproach:
                 self._setup(pair, split, rng)
                 self.optimizer = get_optimizer(config.optimizer, self._parameters(),
                                                config.lr * self.lr_scale)
-                self.optimizer.track_touched = config.lazy_normalize
+                if config.lazy_normalize:
+                    self.optimizer.track_touched = [
+                        model.entities.table
+                        for model in self._normalized_models()]
 
             best_hits = -1.0
             best_state: list[np.ndarray] | None = None

@@ -20,13 +20,15 @@ Layout (one directory per run)::
       MANIFEST.json          # epoch, rng state, log, sha256 of the state file
       state_ep000012.npz     # parameters + optimizer + best-snapshot arrays
 
-The state file is written atomically first; the manifest — also
-atomic — is promoted only after the state file is complete and hashed,
-and always references a file that was fully written.  A crash at any
-byte therefore leaves either the previous complete checkpoint or the
-new one, never a torn readable mix; silent corruption (bit rot, a
-partially-synced disk) fails the sha256 check cleanly at resume time
-instead of training on garbage.
+The state file (an uncompressed ``.npz``) is written atomically first,
+and its sha256 is taken from the bytes written, not re-read from disk;
+the manifest — also atomic — is promoted only after the state file is
+complete, and always references a file that was fully written.  A crash
+at any byte therefore leaves either the previous complete checkpoint or
+the new one, never a torn readable mix; silent corruption (bit rot, a
+partially-synced disk, damage right after the write) fails the sha256
+check cleanly at resume time instead of training on garbage.  Older
+zlib-compressed state files still load: ``np.load`` reads both.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..faults import atomic_write_json, atomic_write_with, fault_point, sha256_file
+from ..faults import atomic_write_json, atomic_write_npz, fault_point, sha256_file
 
 __all__ = [
     "CheckpointCorruption",
@@ -106,17 +108,13 @@ class TrainingCheckpointer:
                 for key, value in slot.items():
                     arrays[f"opt_{index}_{key}"] = np.asarray(value)
         state_path = self.directory / f"state_ep{epoch:06d}.npz"
-        atomic_write_with(
-            state_path,
-            lambda handle: np.savez_compressed(handle, **arrays),
-            site="checkpoint.write",
-        )
+        digest = atomic_write_npz(state_path, arrays, site="checkpoint.write")
         manifest = {
             "schema": _SCHEMA,
             "approach": approach,
             "epoch": int(epoch),
             "state_file": state_path.name,
-            "sha256": sha256_file(state_path),
+            "sha256": digest,
             "n_parameters": len(parameters),
             "has_best_state": best_state is not None,
             "best_hits": float(best_hits),

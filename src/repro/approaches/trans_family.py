@@ -103,8 +103,8 @@ class MTransE(EmbeddingApproach):
                 )
         return loss + self._alignment_loss()
 
-    def _end_epoch(self, epoch, rng):
-        self._normalize(self.model)
+    def _normalized_models(self):
+        return [self.model]
 
     def _alignment_loss(self) -> Tensor:
         if not len(self.seeds):
@@ -272,8 +272,11 @@ class UnifiedTransApproach(EmbeddingApproach):
         negative = self.model.score(negatives[:, 0], negatives[:, 1], negatives[:, 2])
         return self._triple_loss(positive, negative) + self._calibration_loss()
 
+    def _normalized_models(self):
+        return [self.model]
+
     def _end_epoch(self, epoch, rng):
-        self._normalize(self.model)
+        super()._end_epoch(epoch, rng)
         self._after_epoch(epoch, rng)
 
     def _after_epoch(self, epoch, rng):

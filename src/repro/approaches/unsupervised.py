@@ -142,9 +142,8 @@ class UnsupervisedProcrustes(EmbeddingApproach):
         ).reshape(len(triples), self.config.n_negatives).mean(axis=1)
         return margin_ranking_loss(positive, negative, self.config.margin)
 
-    def _end_epoch(self, epoch, rng):
-        for space in self._trained_spaces():
-            self._normalize(space.model)
+    def _normalized_models(self):
+        return [space.model for space in self._trained_spaces()]
 
     def fit(self, pair, split, **options):
         """Unsupervised: the training seeds in ``split`` are never read."""

@@ -56,10 +56,35 @@ class Optimizer:
         self.parameters = list(parameters)
         self.lr = lr
         self._state: dict[int, dict] = {}
-        # Optional bookkeeping of which rows each parameter's sparse
-        # gradients touched (for lazy per-epoch normalization).
-        self.track_touched = False
+        # Optional bookkeeping of which rows the tracked parameters'
+        # sparse gradients touched (for lazy per-epoch normalization).
+        self._tracked: frozenset[int] = frozenset()
         self._touched: dict[int, list[np.ndarray] | None] = {}
+
+    @property
+    def track_touched(self) -> frozenset[int]:
+        """Indices of the parameters whose touched rows are recorded."""
+        return self._tracked
+
+    @track_touched.setter
+    def track_touched(self, parameters) -> None:
+        """Record touched rows for ``parameters`` (``True``: every
+        parameter, ``False``: none) until :meth:`consume_touched`.
+
+        Track only what will be consumed: an unconsumed parameter's row
+        lists would grow for the whole run.
+        """
+        if isinstance(parameters, bool):
+            indices = range(len(self.parameters)) if parameters else ()
+        else:
+            indices = (self._index(parameter) for parameter in parameters)
+        self._tracked = frozenset(indices)
+
+    def _index(self, parameter: Parameter) -> int:
+        for index, candidate in enumerate(self.parameters):
+            if candidate is parameter:
+                return index
+        raise ValueError("parameter is not managed by this optimizer")
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:
@@ -69,7 +94,7 @@ class Optimizer:
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
-            if self.track_touched:
+            if index in self._tracked:
                 self._record_touched(index, parameter.grad)
             self._update(parameter, self._state.setdefault(index, {}))
 
@@ -90,14 +115,9 @@ class Optimizer:
 
         Returns ``None`` when a dense gradient touched every row, or a
         sorted unique row array otherwise (empty if never updated).
-        Only meaningful with ``track_touched = True``.
+        Only meaningful for a parameter in :attr:`track_touched`.
         """
-        for index, candidate in enumerate(self.parameters):
-            if candidate is parameter:
-                break
-        else:
-            raise ValueError("parameter is not managed by this optimizer")
-        touched = self._touched.pop(index, [])
+        touched = self._touched.pop(self._index(parameter), [])
         if touched is None:
             return None
         if not touched:

@@ -22,6 +22,7 @@ from .atomic import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_lines,
+    atomic_write_npz,
     atomic_write_text,
     atomic_write_with,
     sha256_file,
@@ -48,6 +49,7 @@ __all__ = [
     "fault_point", "parse_plan", "install", "reset", "active_plan",
     "is_active", "inject",
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
-    "atomic_write_lines", "atomic_write_with", "sha256_file",
+    "atomic_write_lines", "atomic_write_with", "atomic_write_npz",
+    "sha256_file",
     "read_jsonl", "open_jsonl", "append_jsonl", "ProgressFile",
 ]

@@ -1,7 +1,7 @@
 """Crash-safe file writing: tmp + fsync + ``os.replace``.
 
 Every on-disk artifact this project produces (datasets, checkpoints,
-snapshots, manifests, CSV exports) goes through :func:`atomic_write`:
+snapshots, manifests, CSV exports) goes through one of these writers:
 the payload is written to a ``*.tmp`` sibling, flushed and fsynced,
 then promoted with :func:`os.replace` — so a reader can only ever see
 the old complete file or the new complete file, never a torn one.  A
@@ -18,10 +18,13 @@ is how the crash-replay suite proves the atomicity actually holds.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .inject import fault_point
 
@@ -31,6 +34,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_lines",
     "atomic_write_with",
+    "atomic_write_npz",
     "sha256_file",
 ]
 
@@ -86,7 +90,7 @@ def atomic_write_lines(path: Path | str, lines,
 def atomic_write_with(path: Path | str, writer: Callable,
                       site: str | None = None, mode: str = "wb") -> Path:
     """Atomically write via ``writer(handle)`` — for payloads that are
-    produced by a streaming API (``np.savez``, ``csv.writer`` …)."""
+    produced by a streaming API (``np.save``, ``csv.writer`` …)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -96,6 +100,24 @@ def atomic_write_with(path: Path | str, writer: Callable,
         _fsync_handle(handle)
     _promote(tmp, path, site)
     return path
+
+
+def atomic_write_npz(path: Path | str, arrays: dict, *, site: str) -> str:
+    """Atomically write ``arrays`` as an uncompressed ``.npz``; returns
+    the sha256 hex digest of the bytes written.
+
+    The archive is serialized in memory and hashed from that buffer, so
+    the digest describes what was written: damage to the file after the
+    write fails a later :func:`sha256_file` check instead of being
+    hashed into a manifest.  There is deliberately no compression: zlib
+    shrinks float training state by ~5% at ~20x the write time.
+    """
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with buffer.getbuffer() as payload:
+        digest = hashlib.sha256(payload).hexdigest()
+        atomic_write_bytes(path, payload, site=site)
+    return digest
 
 
 def sha256_file(path: Path | str) -> str:

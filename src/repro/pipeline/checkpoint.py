@@ -16,7 +16,7 @@ import numpy as np
 from ..alignment import csls as csls_rescale
 from ..alignment import infer_alignment, rank_metrics, similarity_matrix
 from ..approaches.base import EmbeddingApproach
-from ..faults import atomic_write_with
+from ..faults import atomic_write_npz
 
 __all__ = ["EmbeddingSnapshot", "save_snapshot", "load_snapshot"]
 
@@ -89,19 +89,14 @@ class EmbeddingSnapshot:
 
 def save_snapshot(snapshot: EmbeddingSnapshot, path: Path | str) -> None:
     """Atomically write a snapshot to a single ``.npz`` file."""
-    atomic_write_with(
-        path,
-        lambda handle: np.savez_compressed(
-            handle,
-            sources=np.array(snapshot.sources, dtype=object),
-            targets=np.array(snapshot.targets, dtype=object),
-            source_matrix=snapshot.source_matrix,
-            target_matrix=snapshot.target_matrix,
-            metric=np.array(snapshot.metric),
-            name=np.array(snapshot.name),
-        ),
-        site="snapshot.save",
-    )
+    atomic_write_npz(path, {
+        "sources": np.array(snapshot.sources, dtype=object),
+        "targets": np.array(snapshot.targets, dtype=object),
+        "source_matrix": snapshot.source_matrix,
+        "target_matrix": snapshot.target_matrix,
+        "metric": np.array(snapshot.metric),
+        "name": np.array(snapshot.name),
+    }, site="snapshot.save")
 
 
 def load_snapshot(path: Path | str) -> EmbeddingSnapshot:

@@ -20,14 +20,19 @@ so operators can inspect a deployment with ``cat``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..faults import atomic_write_json, atomic_write_with, fault_point
+from ..faults import (
+    atomic_write_json,
+    atomic_write_npz,
+    atomic_write_with,
+    fault_point,
+    sha256_file,
+)
 from ..pipeline.checkpoint import EmbeddingSnapshot
 from .index import ANNIndex, make_index
 
@@ -81,14 +86,6 @@ class StoredEmbeddings:
 
 class StoreCorruption(RuntimeError):
     """A store artifact exists but fails its manifest sha256 check."""
-
-
-def _checksum(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class EmbeddingStore:
@@ -163,9 +160,9 @@ class EmbeddingStore:
             "n_targets": len(snapshot.targets),
             "dim": int(snapshot.source_matrix.shape[1]),
             "checksums": {
-                _SOURCE: _checksum(directory / _SOURCE),
-                _TARGET: _checksum(directory / _TARGET),
-                _VOCAB: _checksum(directory / _VOCAB),
+                _SOURCE: sha256_file(directory / _SOURCE),
+                _TARGET: sha256_file(directory / _TARGET),
+                _VOCAB: sha256_file(directory / _VOCAB),
             },
             "metadata": dict(metadata or {}),
         })
@@ -214,7 +211,7 @@ class EmbeddingStore:
                 raise StoreCorruption(
                     f"store file {path} is missing (manifest lists it)"
                 )
-            if _checksum(path) != expected:
+            if sha256_file(path) != expected:
                 raise StoreCorruption(
                     f"store file {path} fails its sha256 check"
                 )
@@ -251,7 +248,8 @@ class EmbeddingStore:
 
         The index must expose ``state_arrays()`` (currently
         :class:`~repro.serve.index.IVFIndex`; exact search needs no
-        state).  The file is checksummed into the manifest so a damaged
+        state).  The digest of the bytes written goes into the manifest,
+        uncompressed like every ``.npz`` artifact, so a damaged
         index is detected at load time and serving degrades to exact
         search instead of answering from garbage centroids.
         """
@@ -269,13 +267,8 @@ class EmbeddingStore:
         directory = self.root / entry["id"]
         fname = f"index_{index.kind}.npz"
         path = directory / fname
-        arrays = state()
-        atomic_write_with(
-            path,
-            lambda handle: np.savez_compressed(handle, **arrays),
-            site="store.save",
-        )
-        entry.setdefault("checksums", {})[fname] = _checksum(path)
+        entry.setdefault("checksums", {})[fname] = atomic_write_npz(
+            path, state(), site="store.save")
         entry["index"] = {"kind": index.kind, "file": fname,
                           "params": index.params()}
         self._write_manifest(manifest)
@@ -303,7 +296,7 @@ class EmbeddingStore:
         if not path.is_file():
             raise StoreCorruption(f"persisted index {path} is missing")
         expected = entry.get("checksums", {}).get(info["file"])
-        if expected and _checksum(path) != expected:
+        if expected and sha256_file(path) != expected:
             raise StoreCorruption(
                 f"persisted index {path} fails its sha256 check"
             )

@@ -55,6 +55,24 @@ def test_manhattan_blocking_matches_direct():
     np.testing.assert_allclose(blocked, direct)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1000))
+def test_manhattan_kernel_matches_broadcast_with_duplicate_rows(seed):
+    """Rows drawn with replacement from a small pool: duplicated rows
+    give exact ties, which the kernel must reproduce rank for rank."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(12, 6))
+    source = pool[rng.integers(0, 12, size=30)]
+    target = pool[rng.integers(0, 12, size=25)]
+    kernel = manhattan_similarity(source, target)
+    direct = -np.abs(source[:, None, :] - target[None, :, :]).sum(axis=2)
+    np.testing.assert_allclose(kernel, direct)
+    gold = rng.integers(0, 25, size=30)
+    got, expected = rank_metrics(kernel, gold), rank_metrics(direct, gold)
+    assert (got.hits, got.mr, got.mrr) == (expected.hits, expected.mr,
+                                           expected.mrr)
+
+
 def test_similarity_matrix_dispatch_and_error():
     x = RNG.normal(size=(3, 4))
     np.testing.assert_allclose(

@@ -378,6 +378,20 @@ def test_consume_touched_tracks_sparse_rows():
     assert optimizer.consume_touched(p) is None
 
 
+def test_track_touched_records_only_tracked_parameters():
+    tracked, other = Parameter(np.ones((10, 2))), Parameter(np.ones((10, 2)))
+    optimizer = SGD([other, tracked], lr=0.1)
+    optimizer.track_touched = [tracked]
+    assert optimizer.track_touched == {1}
+    for parameter in (tracked, other):
+        parameter.grad = SparseGrad([3, 1], np.ones((2, 2)), (10, 2))
+    optimizer.step()
+    np.testing.assert_array_equal(optimizer.consume_touched(tracked), [1, 3])
+    assert optimizer._touched == {}
+    optimizer.track_touched = False
+    assert optimizer.track_touched == frozenset()
+
+
 def test_consume_touched_rejects_foreign_parameter():
     p = Parameter(np.ones((2, 2)))
     optimizer = SGD([p], lr=0.1)

@@ -6,10 +6,12 @@ and (b) a resumed run finishes with exactly the embeddings and metrics
 the uninterrupted run would have produced.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +136,43 @@ def test_corrupt_checkpoint_refuses_to_resume(tiny, tmp_path):
         _fit_checkpointed(pair, split, tmp_path, resume=True)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_checkpoint_corrupted_after_write_fails_verification(tiny, tmp_path,
+                                                             seed):
+    """Bytes damaged right after the final state file is promoted: the
+    manifest holds the digest of the bytes written, so the damage is a
+    clean CheckpointCorruption, never a raw zip error at resume."""
+    pair, split = tiny
+    with faults.inject(f"checkpoint.write:nth={EPOCHS}:mode=corrupt"
+                       f":seed={seed}"):
+        _fit_checkpointed(pair, split, tmp_path)
+    with pytest.raises(CheckpointCorruption):
+        TrainingCheckpointer(tmp_path).manifest()
+
+
+def test_resume_from_compressed_checkpoint(tiny, uninterrupted, tmp_path):
+    """State files written zlib-compressed (the older format) resume
+    bit-identically: ``np.load`` reads both layouts."""
+    pair, split = tiny
+    with faults.inject("epoch.end:nth=2:mode=raise"):
+        with pytest.raises(InjectedFault):
+            _fit_checkpointed(pair, split, tmp_path)
+    manifest_path = tmp_path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    state = tmp_path / manifest["state_file"]
+    with np.load(state) as npz:
+        arrays = dict(npz)
+    np.savez_compressed(state, **arrays)
+    with zipfile.ZipFile(state) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    manifest["sha256"] = faults.sha256_file(state)
+    manifest_path.write_text(json.dumps(manifest))
+    approach, log = _fit_checkpointed(pair, split, tmp_path, resume=True)
+    assert log.status == "resumed"
+    _assert_equivalent(approach, uninterrupted, split)
+
+
 # ------------------------------------------------------------------ site 3
 def test_crash_mid_ledger_append_leaves_skippable_line(tmp_path):
     ledger = RunLedger(tmp_path / "ledger.jsonl")
@@ -195,6 +234,38 @@ def test_crash_mid_snapshot_save_preserves_old_file(tmp_path):
     assert loaded.name == "v1"
     np.testing.assert_array_equal(loaded.source_matrix,
                                   snapshot.source_matrix)
+
+
+def test_compressed_snapshot_still_loads(tmp_path):
+    """A snapshot written zlib-compressed (the older format) loads the
+    same as the uncompressed one :func:`save_snapshot` writes now."""
+    rng = np.random.default_rng(0)
+    snapshot = EmbeddingSnapshot(
+        ["a", "b"], rng.normal(size=(2, 4)),
+        ["x", "y", "z"], rng.normal(size=(3, 4)), metric="manhattan",
+        name="old",
+    )
+    path = tmp_path / "snap.npz"
+    np.savez_compressed(
+        path,
+        sources=np.array(snapshot.sources, dtype=object),
+        targets=np.array(snapshot.targets, dtype=object),
+        source_matrix=snapshot.source_matrix,
+        target_matrix=snapshot.target_matrix,
+        metric=np.array(snapshot.metric),
+        name=np.array(snapshot.name),
+    )
+    loaded = load_snapshot(path)
+    save_snapshot(snapshot, tmp_path / "new.npz")
+    current = load_snapshot(tmp_path / "new.npz")
+    for other in (loaded, current):
+        assert (other.sources, other.targets) == (snapshot.sources,
+                                                  snapshot.targets)
+        assert (other.metric, other.name) == ("manhattan", "old")
+        np.testing.assert_array_equal(other.source_matrix,
+                                      snapshot.source_matrix)
+        np.testing.assert_array_equal(other.target_matrix,
+                                      snapshot.target_matrix)
 
 
 # ------------------------------------------------- real SIGKILL, subprocess

@@ -119,6 +119,34 @@ def test_lazy_normalize_trains_comparably(enfr_pair, enfr_split):
     assert lazy >= 0.5 * eager  # same ballpark; protocols differ slightly
 
 
+def test_lazy_normalize_tracks_only_entity_tables():
+    """Only the entity table's touched rows are ever consumed, so only
+    it is tracked: no other parameter's row lists grow during the run,
+    and the trained parameters equal those of a fit that tracks every
+    table."""
+    from repro.approaches import ApproachConfig, MTransE
+    from repro.datagen import smoke_pair
+
+    class TrackEverything(MTransE):
+        def _batches(self, epoch, rng):
+            self.optimizer.track_touched = True
+            return super()._batches(epoch, rng)
+
+    pair = smoke_pair()
+    split = pair.five_fold_splits(seed=0)[0]
+    config = ApproachConfig(dim=16, epochs=2, seed=0, valid_every=0,
+                            lazy_normalize=True)
+    lean, everything = MTransE(config), TrackEverything(config)
+    lean.fit(pair, split)
+    everything.fit(pair, split)
+    entity = lean._parameters().index(lean.model.entities.table)
+    assert lean.optimizer.track_touched == {entity}
+    assert set(lean.optimizer._touched) <= {entity}
+    assert set(everything.optimizer._touched) - {entity}  # the old growth
+    for got, expected in zip(lean._parameters(), everything._parameters()):
+        np.testing.assert_array_equal(got.data, expected.data)
+
+
 def test_normalize_rows_subset_matches_full():
     from repro.autodiff import EmbeddingTable
 
