@@ -573,19 +573,26 @@ class EmbeddingApproach:
         registry.gauge("train.loss", approach=name).set(loss)
         grad_sq = 0.0
         touched = 0
+        nnz = 0
+        unique = 0
         for parameter in self._parameters():
             grad = parameter.grad
             if grad is None:
                 continue
             if isinstance(grad, SparseGrad):
-                grad = grad.coalesce()
+                nnz += len(grad.indices)
+                grad = grad.coalesce()  # memoized by the step's update
                 grad_sq += float((grad.values ** 2).sum())
-                touched += len(np.unique(grad.indices))
+                unique += len(grad.indices)
+                touched += len(grad.indices)
             else:
                 grad_sq += float((np.asarray(grad) ** 2).sum())
                 touched += parameter.shape[0] if parameter.ndim else 1
         registry.gauge("train.grad_norm", approach=name).set(grad_sq ** 0.5)
         registry.gauge("train.touched_rows", approach=name).set(touched)
+        # sparse gathers before and after coalescing duplicate rows
+        registry.gauge("train.coalesce_nnz", approach=name).set(nnz)
+        registry.gauge("train.coalesce_rows", approach=name).set(unique)
 
     # ------------------------------------------------------------------
     # alignment module

@@ -212,6 +212,7 @@ class UnifiedTransApproach(EmbeddingApproach):
         self.seeds = self.data.seed_id_pairs(split.train)
         # augmented alignment proposed during semi-supervised training
         self.augmented: dict[int, int] = {}
+        self._calibration_ids: np.ndarray | None = None
         self._swapped = self._make_swapped() if self.swapping else None
 
     def _parameters(self):
@@ -259,10 +260,17 @@ class UnifiedTransApproach(EmbeddingApproach):
 
     def _calibration_loss(self) -> Tensor:
         """Pull (non-merged) seed/augmented pairs together in the space."""
-        pairs = [(int(a), int(b)) for a, b in self.seeds] + list(self.augmented.items())
-        if self.calibration_weight <= 0.0 or not pairs:
+        if self.calibration_weight <= 0.0:
             return Tensor(0.0)
-        ids = np.array(pairs, dtype=np.int64)
+        if self._calibration_ids is None:
+            # `augmented` changes only in the epoch-end hook and on
+            # resume, which both reset this: built once per epoch
+            augmented = np.array(list(self.augmented.items()), dtype=np.int64)
+            self._calibration_ids = np.concatenate(
+                [self.seeds, augmented.reshape(-1, 2)])
+        ids = self._calibration_ids
+        if not len(ids):
+            return Tensor(0.0)
         e1 = self.model.entities(ids[:, 0])
         e2 = self.model.entities(ids[:, 1])
         return self.calibration_weight * (e1 - e2).square().sum(axis=1).mean()
@@ -278,6 +286,7 @@ class UnifiedTransApproach(EmbeddingApproach):
     def _end_epoch(self, epoch, rng):
         super()._end_epoch(epoch, rng)
         self._after_epoch(epoch, rng)
+        self._calibration_ids = None
 
     def _after_epoch(self, epoch, rng):
         """Semi-supervised hook; default no-op."""
@@ -290,6 +299,7 @@ class UnifiedTransApproach(EmbeddingApproach):
     def _load_extra_state(self, state):
         self.augmented = {int(a): int(b)
                           for a, b in state.get("augmented", [])}
+        self._calibration_ids = None
         if self.swapping:
             self._swapped = self._make_swapped()
 

@@ -8,9 +8,21 @@ every row.  A :class:`SparseGrad` carries only ``(indices, values)``
 pairs instead, so the cost of one training step is proportional to the
 batch size rather than the table size.
 
+Accumulation is append-only: each further gather of the same table adds
+its ``(indices, values)`` piece to a list without copying, and the
+pieces are concatenated once, when the gradient is first read.
+
 Duplicate indices (the same entity appearing many times in one batch, as
-negative sampling produces) are *coalesced* with a sort + ``reduceat``
-segment sum — ``np.add.at`` is an order of magnitude slower for this.
+negative sampling produces) are *coalesced* by one kernel,
+:func:`_coalesce_rows`: a bitmap over the table's rows gives the sorted
+unique rows, and one sparse matrix product sums each row's values (a
+CSR segment sum).  :meth:`SparseGrad.coalesce` memoizes its result, so
+the optimizer update, its touched-row bookkeeping and the traced epoch
+gauges share one coalesce per step.
+
+Densifying a :class:`SparseGrad` (:meth:`SparseGrad.to_dense`) loses the
+O(batch) saving for that step; each one increments the registry counter
+``autodiff.sparse_densified``.
 
 The sparse path is enabled by default and can be toggled globally (for
 benchmarking the dense baseline) via :func:`set_sparse_gradients`.
@@ -18,7 +30,10 @@ benchmarking the dense baseline) via :func:`set_sparse_gradients`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "SparseGrad",
@@ -52,17 +67,31 @@ def sparse_gradients_enabled() -> bool:
     return _SPARSE_ENABLED
 
 
-def _coalesce_rows(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` over duplicate ``indices`` (sort + segment-sum)."""
-    if indices.size == 0:
+def _coalesce_rows(indices: np.ndarray, values: np.ndarray,
+                   n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``values`` over duplicate ``indices`` (CSR segment sum).
+
+    Returns the sorted unique rows of a table with ``n_rows`` rows and,
+    per row, the sum of its values in input order.  The bitmap and the
+    slot map cost O(n_rows); the sum is one ``(unique, nnz) @ (nnz, d)``
+    product whose column ``j`` holds a single 1 at the slot of
+    ``indices[j]``.
+    """
+    nnz = indices.shape[0]
+    if nnz == 0:
         return indices, values
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    sorted_values = values[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[indices] = True
+    rows = np.flatnonzero(touched)
+    slot_of = np.empty(n_rows, dtype=np.intp)
+    slot_of[rows] = np.arange(rows.shape[0])
+    segments = scipy.sparse.csc_matrix(
+        (np.ones(nnz), slot_of[indices], np.arange(nnz + 1)),
+        shape=(rows.shape[0], nnz),
     )
-    return sorted_indices[starts], np.add.reduceat(sorted_values, starts, axis=0)
+    width = math.prod(values.shape[1:])
+    summed = segments @ values.reshape(nnz, width)
+    return rows, summed.reshape((rows.shape[0],) + values.shape[1:])
 
 
 def scatter_rows(out: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
@@ -74,6 +103,7 @@ def scatter_rows(out: np.ndarray, indices: np.ndarray, values: np.ndarray) -> No
     rows, summed = _coalesce_rows(
         np.asarray(indices, dtype=np.int64).reshape(-1),
         np.asarray(values, dtype=np.float64).reshape((-1,) + out.shape[1:]),
+        out.shape[0],
     )
     out[rows] += summed
 
@@ -88,18 +118,37 @@ class SparseGrad:
     materializing the dense matrix.
     """
 
-    __slots__ = ("indices", "values", "shape", "_coalesced")
+    __slots__ = ("shape", "_pieces", "_canonical", "_coalesced")
 
     def __init__(self, indices, values, shape: tuple[int, ...], coalesced: bool = False):
-        self.indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        self.values = np.asarray(values, dtype=np.float64).reshape(
-            (self.indices.shape[0],) + tuple(shape[1:])
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        values = np.asarray(values, dtype=np.float64).reshape(
+            (indices.shape[0],) + tuple(shape[1:])
         )
         self.shape = tuple(shape)
-        self._coalesced = bool(coalesced)
+        self._pieces = [(indices, values)]
+        # True when the indices are already unique and sorted.
+        self._canonical = bool(coalesced)
+        self._coalesced: SparseGrad | None = None
 
     def __repr__(self) -> str:
         return f"SparseGrad(nnz_rows={len(self.indices)}, shape={self.shape})"
+
+    def _joined(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one ``(indices, values)`` pair, concatenating the pieces
+        merged so far (once)."""
+        if len(self._pieces) > 1:
+            self._pieces = [(np.concatenate([i for i, _ in self._pieces]),
+                             np.concatenate([v for _, v in self._pieces]))]
+        return self._pieces[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._joined()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._joined()[1]
 
     @property
     def ndim(self) -> int:
@@ -107,29 +156,37 @@ class SparseGrad:
 
     @property
     def dtype(self):
-        return self.values.dtype
+        return self._pieces[0][1].dtype
 
     def coalesce(self) -> "SparseGrad":
-        """Return an equivalent gradient with unique, sorted indices."""
-        if self._coalesced:
+        """An equivalent gradient with unique, sorted indices.
+
+        Computed once and memoized until the next :meth:`merged`.
+        """
+        if self._canonical:
             return self
-        rows, values = _coalesce_rows(self.indices, self.values)
-        return SparseGrad(rows, values, self.shape, coalesced=True)
+        if self._coalesced is None:
+            rows, values = _coalesce_rows(*self._joined(), self.shape[0])
+            self._coalesced = SparseGrad(rows, values, self.shape, coalesced=True)
+        return self._coalesced
 
     def merged(self, other: "SparseGrad") -> "SparseGrad":
-        """Concatenate two sparse gradients of the same dense shape."""
+        """Accumulate ``other`` into this gradient (same dense shape) and
+        return it.  Appends ``other``'s pieces without copying them."""
         if other.shape != self.shape:
             raise ValueError(
                 f"cannot merge sparse grads of shapes {self.shape} and {other.shape}"
             )
-        return SparseGrad(
-            np.concatenate([self.indices, other.indices]),
-            np.concatenate([self.values, other.values]),
-            self.shape,
-        )
+        self._pieces.extend(other._pieces)
+        self._canonical = False
+        self._coalesced = None
+        return self
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full dense gradient (densification)."""
+        from ..obs.registry import get_registry  # repro.obs imports this module
+
+        get_registry().counter("autodiff.sparse_densified").inc()
         dense = np.zeros(self.shape, dtype=np.float64)
         grad = self.coalesce()
         dense[grad.indices] = grad.values
@@ -142,7 +199,7 @@ class SparseGrad:
 
     def copy(self) -> "SparseGrad":
         return SparseGrad(
-            self.indices.copy(), self.values.copy(), self.shape, self._coalesced
+            self.indices.copy(), self.values.copy(), self.shape, self._canonical
         )
 
     def __array__(self, dtype=None, copy=None):

@@ -130,16 +130,22 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray | SparseGrad) -> None:
+        # A stored dense gradient is never modified in place: the first
+        # one is kept without a copy (a backward closure may hand the same
+        # array to several tensors) and later ones are added out of place.
+        # That spares every single-use tensor a copy per step.
         if isinstance(grad, SparseGrad):
             if self.grad is None:
                 self.grad = grad
             elif isinstance(self.grad, SparseGrad):
-                self.grad = self.grad.merged(grad)
+                self.grad.merged(grad)  # appends in place, no copy
             else:
-                grad.add_to(self.grad)
+                dense = self.grad.copy()
+                grad.add_to(dense)
+                self.grad = dense
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = np.asarray(grad, dtype=np.float64)
         elif isinstance(self.grad, SparseGrad):
             # A dense gradient joined a sparse one (e.g. a norm regularizer
             # over the full matrix): densify once and keep accumulating.
@@ -147,7 +153,7 @@ class Tensor:
             dense += grad
             self.grad = dense
         else:
-            self.grad += grad
+            self.grad = np.add(self.grad, grad, out=np.empty(self.grad.shape))
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -157,7 +163,7 @@ class Tensor:
             if self.size != 1:
                 raise RuntimeError("backward() without gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.array(grad, dtype=np.float64))  # caller's copy
 
         order: list[Tensor] = []
         seen: set[int] = set()

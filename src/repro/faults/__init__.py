@@ -20,11 +20,14 @@ from __future__ import annotations
 
 from .atomic import (
     atomic_write_bytes,
+    atomic_write_hashed,
     atomic_write_json,
     atomic_write_lines,
+    atomic_write_npy,
     atomic_write_npz,
     atomic_write_text,
     atomic_write_with,
+    json_bytes,
     sha256_file,
 )
 from .inject import (
@@ -50,6 +53,6 @@ __all__ = [
     "is_active", "inject",
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
     "atomic_write_lines", "atomic_write_with", "atomic_write_npz",
-    "sha256_file",
+    "atomic_write_npy", "atomic_write_hashed", "json_bytes", "sha256_file",
     "read_jsonl", "open_jsonl", "append_jsonl", "ProgressFile",
 ]

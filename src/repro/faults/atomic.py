@@ -34,7 +34,10 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_lines",
     "atomic_write_with",
+    "atomic_write_hashed",
     "atomic_write_npz",
+    "atomic_write_npy",
+    "json_bytes",
     "sha256_file",
 ]
 
@@ -74,10 +77,15 @@ def atomic_write_text(path: Path | str, text: str,
     return atomic_write_bytes(path, text.encode("utf-8"), site=site)
 
 
+def json_bytes(payload, indent: int | None = 2) -> bytes:
+    """The bytes :func:`atomic_write_json` writes for ``payload``."""
+    text = json.dumps(payload, indent=indent, sort_keys=True, default=str)
+    return (text + "\n").encode("utf-8")
+
+
 def atomic_write_json(path: Path | str, payload,
                       site: str | None = None, indent: int | None = 2) -> Path:
-    text = json.dumps(payload, indent=indent, sort_keys=True, default=str)
-    return atomic_write_text(path, text + "\n", site=site)
+    return atomic_write_bytes(path, json_bytes(payload, indent), site=site)
 
 
 def atomic_write_lines(path: Path | str, lines,
@@ -102,22 +110,49 @@ def atomic_write_with(path: Path | str, writer: Callable,
     return path
 
 
+def atomic_write_hashed(path: Path | str, *chunks, site: str) -> str:
+    """Atomically write the concatenated ``chunks`` (bytes-like objects);
+    returns the sha256 hex digest of the bytes written.
+
+    The digest is taken from the in-memory chunks, so it describes what
+    was written: damage to the file after the write fails a later
+    :func:`sha256_file` check instead of being hashed into a manifest.
+    """
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+
+    def write(handle) -> None:
+        for chunk in chunks:
+            handle.write(chunk)
+
+    atomic_write_with(path, write, site=site)
+    return digest.hexdigest()
+
+
 def atomic_write_npz(path: Path | str, arrays: dict, *, site: str) -> str:
     """Atomically write ``arrays`` as an uncompressed ``.npz``; returns
-    the sha256 hex digest of the bytes written.
-
-    The archive is serialized in memory and hashed from that buffer, so
-    the digest describes what was written: damage to the file after the
-    write fails a later :func:`sha256_file` check instead of being
-    hashed into a manifest.  There is deliberately no compression: zlib
-    shrinks float training state by ~5% at ~20x the write time.
+    the sha256 hex digest of the bytes written (see
+    :func:`atomic_write_hashed`).  There is deliberately no compression:
+    zlib shrinks float training state by ~5% at ~20x the write time.
     """
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     with buffer.getbuffer() as payload:
-        digest = hashlib.sha256(payload).hexdigest()
-        atomic_write_bytes(path, payload, site=site)
-    return digest
+        return atomic_write_hashed(path, payload, site=site)
+
+
+def atomic_write_npy(path: Path | str, array: np.ndarray, *, site: str) -> str:
+    """Atomically write one array as ``.npy`` (what :func:`numpy.save`
+    writes); returns the sha256 hex digest of the bytes written (see
+    :func:`atomic_write_hashed`).  The array's buffer is hashed and
+    written in place, without a serialized copy."""
+    array = np.ascontiguousarray(array)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array))
+    return atomic_write_hashed(path, header.getvalue(),
+                               array.reshape(-1).view(np.uint8), site=site)
 
 
 def sha256_file(path: Path | str) -> str:

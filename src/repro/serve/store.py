@@ -27,10 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from ..faults import (
+    atomic_write_hashed,
     atomic_write_json,
+    atomic_write_npy,
     atomic_write_npz,
-    atomic_write_with,
     fault_point,
+    json_bytes,
     sha256_file,
 )
 from ..pipeline.checkpoint import EmbeddingSnapshot
@@ -137,21 +139,21 @@ class EmbeddingStore:
         version = f"v{len(manifest['versions']) + 1:03d}"
         directory = self.root / version
         directory.mkdir(parents=True, exist_ok=False)
-        for fname, matrix in ((_SOURCE, snapshot.source_matrix),
-                              (_TARGET, snapshot.target_matrix)):
-            atomic_write_with(
-                directory / fname,
-                lambda handle, m=matrix: np.save(
-                    handle, np.ascontiguousarray(m)),
-                site="store.save",
-            )
+        # the manifest records the digests of the bytes as written, so
+        # damage after the write fails verify() instead of being hashed in
+        checksums = {
+            fname: atomic_write_npy(directory / fname, matrix, site="store.save")
+            for fname, matrix in ((_SOURCE, snapshot.source_matrix),
+                                  (_TARGET, snapshot.target_matrix))
+        }
         vocab = {
             "sources": list(snapshot.sources),
             "targets": list(snapshot.targets),
             "metric": snapshot.metric,
             "name": snapshot.name,
         }
-        atomic_write_json(directory / _VOCAB, vocab, site="store.save")
+        checksums[_VOCAB] = atomic_write_hashed(
+            directory / _VOCAB, json_bytes(vocab), site="store.save")
         manifest["versions"].append({
             "id": version,
             "name": snapshot.name,
@@ -159,11 +161,7 @@ class EmbeddingStore:
             "n_sources": len(snapshot.sources),
             "n_targets": len(snapshot.targets),
             "dim": int(snapshot.source_matrix.shape[1]),
-            "checksums": {
-                _SOURCE: sha256_file(directory / _SOURCE),
-                _TARGET: sha256_file(directory / _TARGET),
-                _VOCAB: sha256_file(directory / _VOCAB),
-            },
+            "checksums": checksums,
             "metadata": dict(metadata or {}),
         })
         self._write_manifest(manifest)

@@ -2,13 +2,19 @@
 
 Covers the SparseGrad container (coalescing, densification, merging),
 gather's sparse backward and index validation, mixed sparse+dense
-accumulation, the optimizers' sparse fast paths, and optimizer
-state_dict round-trips.
+accumulation, the optimizers' sparse fast paths, optimizer state_dict
+round-trips, the coalesce kernel against an ``np.add.at`` reference,
+append-only merging, the buffered lazy Adam and the densification
+counter.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
+from repro.approaches import ApproachConfig, MTransE
 from repro.autodiff import (
     SGD,
     Adagrad,
@@ -20,6 +26,8 @@ from repro.autodiff import (
     set_sparse_gradients,
     sparse_gradients_enabled,
 )
+from repro.autodiff import sparse as sparse_module
+from repro.obs.registry import MetricsRegistry, set_registry
 
 RNG = np.random.default_rng(7)
 
@@ -472,3 +480,165 @@ def test_sparse_roundtrip_preserves_pending_catchup():
     p2.grad = SparseGrad([0], np.ones((1, 2)), p2.shape)
     opt2.step()
     np.testing.assert_array_equal(p2.data, p1.data)
+
+
+# ---------------------------------------------------------------------------
+# the coalesce kernel, append-only merging and the buffered lazy Adam
+# ---------------------------------------------------------------------------
+@st.composite
+def _row_gradients(draw):
+    """(indices, values, n_rows): duplicates, empty input, a single row,
+    all-equal indices, and 1-D / 2-D / 3-D values."""
+    n_rows = draw(st.integers(1, 12))
+    nnz = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["random", "single", "all_equal"]))
+    if kind == "single":
+        nnz = min(nnz, 1)
+    indices = np.array(draw(st.lists(st.integers(0, n_rows - 1),
+                                     min_size=nnz, max_size=nnz)),
+                       dtype=np.int64)
+    if kind == "all_equal" and nnz:
+        indices[:] = indices[0]
+    trailing = draw(st.sampled_from([(), (3,), (2, 2)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(size=(nnz,) + trailing)
+    return indices, values, n_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_gradients())
+def test_coalesce_rows_matches_add_at_reference(case):
+    indices, values, n_rows = case
+    rows, summed = sparse_module._coalesce_rows(indices, values, n_rows)
+    expected = np.zeros((n_rows,) + values.shape[1:])
+    np.add.at(expected, indices, values)
+    np.testing.assert_array_equal(rows, np.unique(indices))
+    assert summed.shape == (len(rows),) + values.shape[1:]
+    np.testing.assert_allclose(summed, expected[rows], rtol=0, atol=1e-12)
+    dense = np.zeros_like(expected)
+    scatter_rows(dense, indices, values)
+    np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
+
+
+def test_merging_k_pieces_equals_one_concatenated_grad(monkeypatch):
+    shape = (9, 3)
+    pieces = [(RNG.integers(0, 9, size=n), RNG.normal(size=(n, 3)))
+              for n in (4, 1, 7, 3, 5)]
+    concatenated = SparseGrad(np.concatenate([i for i, _ in pieces]),
+                              np.concatenate([v for _, v in pieces]), shape)
+    calls = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate",
+                        lambda *a, **k: calls.append(1) or concatenate(*a, **k))
+    merged = SparseGrad(*pieces[0], shape)
+    for indices, values in pieces[1:]:
+        assert merged.merged(SparseGrad(indices, values, shape)) is merged
+    assert calls == []  # merging copied no value array
+    assert all(np.shares_memory(v, piece) for v, piece in
+               zip((v for _, v in merged._pieces), (v for _, v in pieces)))
+    np.testing.assert_array_equal(merged.indices, concatenated.indices)
+    np.testing.assert_array_equal(merged.values, concatenated.values)
+    assert len(calls) == 2  # indices + values, concatenated once on read
+    merged.values
+    assert len(calls) == 2
+    np.testing.assert_array_equal(merged.coalesce().values,
+                                  concatenated.coalesce().values)
+
+
+def test_coalesce_runs_the_kernel_once_per_step(monkeypatch):
+    calls = []
+    kernel = sparse_module._coalesce_rows
+    monkeypatch.setattr(sparse_module, "_coalesce_rows",
+                        lambda *a: calls.append(1) or kernel(*a))
+    p = Parameter(RNG.normal(size=(20, 4)))
+    optimizer = Adam([p], lr=0.01)
+    optimizer.track_touched = True
+    for step in range(3):
+        optimizer.zero_grad()
+        batch = RNG.integers(0, 20, size=8)
+        (p.gather(batch).square().sum() + p.gather(batch[::-1]).sum()).backward()
+        optimizer.step()  # touched-row bookkeeping + the update
+        p.grad.coalesce()  # e.g. the traced epoch gauges
+        assert len(calls) == step + 1
+    merged = p.grad.merged(SparseGrad([0], np.ones((1, 4)), p.shape))
+    merged.coalesce()  # a merge invalidates the memo
+    assert len(calls) == 4
+
+
+def _lazy_adam_reference(data, m, v, t, rows, values,
+                         lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The lazy-Adam row update as written before it used reused
+    buffers, kept verbatim (``self.`` dropped)."""
+    ndim = max(data.ndim, 1)
+
+    def _per_row(values, ndim):
+        values = np.asarray(values)
+        return values.reshape(values.shape + (1,) * (ndim - 1))
+
+    t[rows] += 1
+    t_rows = t[rows]
+    m_rows = beta1 * m[rows] + (1.0 - beta1) * values
+    v_rows = beta2 * v[rows] + (1.0 - beta2) * values**2
+    m[rows] = m_rows
+    v[rows] = v_rows
+    m_hat = m_rows / _per_row(1.0 - beta1**t_rows, ndim)
+    v_hat = v_rows / _per_row(1.0 - beta2**t_rows, ndim)
+    data[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("shape", [(40, 5), (40,), (40, 3, 2)])
+def test_buffered_lazy_adam_is_bit_identical_to_the_formula(shape):
+    """50 sparse steps whose row counts grow and shrink: rows left in a
+    buffer by a larger step must not leak into a smaller one."""
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=shape)
+    p = Parameter(data.copy())
+    optimizer = Adam([p], lr=0.01)
+    m, v = np.zeros(shape), np.zeros(shape)
+    t = np.zeros(shape[0], dtype=np.int64)
+    for step in range(50):
+        n = (30, 3, 17, 1, 40, 8, 25)[step % 7]
+        batch = rng.integers(0, shape[0], size=n + n // 2)
+        values = rng.normal(size=batch.shape + shape[1:])
+        optimizer.zero_grad()
+        p.grad = SparseGrad(batch, values, shape)
+        optimizer.step()
+        grad = p.grad.coalesce()
+        _lazy_adam_reference(data, m, v, t, grad.indices, grad.values, lr=0.01)
+        np.testing.assert_array_equal(p.data, data)
+    state = optimizer.state_dict()["state"][0]
+    np.testing.assert_array_equal(state["m"], m)
+    np.testing.assert_array_equal(state["v"], v)
+    np.testing.assert_array_equal(state["t"], t)
+
+
+@pytest.fixture
+def densified():
+    """The ``autodiff.sparse_densified`` counter of a fresh registry."""
+    previous = set_registry(MetricsRegistry())
+    try:
+        yield lambda: obs.get_registry().counter("autodiff.sparse_densified").value
+    finally:
+        set_registry(previous)
+
+
+def test_sparse_fit_records_no_densification(enfr_pair, enfr_split):
+    with obs.capture() as cap:
+        MTransE(ApproachConfig(dim=16, epochs=2, batch_size=512)).fit(
+            enfr_pair, enfr_split)
+    assert cap.registry.counter("autodiff.sparse_densified").value == 0
+    gauges = cap.registry.snapshot()["gauges"]
+    nnz = gauges["train.coalesce_nnz{approach=MTransE}"]
+    rows = gauges["train.coalesce_rows{approach=MTransE}"]
+    assert nnz >= rows > 0
+
+
+def test_table_wide_loss_densifies_once_per_step(densified):
+    p = Parameter(RNG.normal(size=(30, 4)))
+    optimizer = Adam([p], lr=0.01)
+    for step in range(5):
+        optimizer.zero_grad()
+        loss = p.gather([1, 2, 2]).square().sum() + 0.1 * p.square().sum()
+        loss.backward()
+        optimizer.step()
+        assert densified() == step + 1

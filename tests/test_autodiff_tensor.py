@@ -72,6 +72,24 @@ def test_reuse_of_node_accumulates_gradient():
     np.testing.assert_allclose(a.grad, [7.0])
 
 
+def test_accumulation_never_mutates_a_shared_first_gradient():
+    """add's backward hands both operands the same array; a later
+    accumulation into one operand must not leak into the other."""
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+    b = Tensor(np.ones((3, 2)), requires_grad=True)
+    ((a + b).sum() + (a * 3.0).sum()).backward()
+    np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
+    np.testing.assert_array_equal(a.grad, np.full((3, 2), 4.0))
+    scalar = Tensor(2.0, requires_grad=True)
+    (scalar * scalar).backward()
+    assert isinstance(scalar.grad, np.ndarray) and scalar.grad == 4.0
+    given = np.array([1.0, 1.0])
+    out = Tensor([1.0, 2.0], requires_grad=True) * 2.0
+    out.backward(given)
+    given[:] = 0.0
+    np.testing.assert_array_equal(out.grad, [1.0, 1.0])  # the caller's copy
+
+
 def test_diamond_graph_backprop():
     # a -> b, c -> d uses both paths; gradient must flow through both.
     a = Tensor([2.0], requires_grad=True)

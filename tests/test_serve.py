@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.pipeline.checkpoint import EmbeddingSnapshot
 from repro.serve import (
     EmbeddingStore,
@@ -13,6 +14,7 @@ from repro.serve import (
     LSHIndex,
     QueryEngine,
     ServingMetrics,
+    StoreCorruption,
     StoredEmbeddings,
     make_index,
     recall_vs_exact,
@@ -98,6 +100,24 @@ def test_store_errors(tmp_path, clustered_world):
     store.save(_snapshot(source, target))
     with pytest.raises(KeyError):
         store.load("v999")
+
+
+@pytest.mark.parametrize("nth,damaged", [
+    (1, "source_matrix.npy"), (2, "target_matrix.npy"), (3, "vocab.json"),
+])
+def test_store_file_corrupted_after_write_fails_verification(
+        tmp_path, clustered_world, nth, damaged):
+    """Bytes damaged right after a store file is promoted: the manifest
+    holds the digest of the bytes written, so verify() and a verifying
+    QueryEngine.from_store name the damaged file instead of serving it."""
+    source, target = clustered_world
+    store = EmbeddingStore(tmp_path / "store")
+    with faults.inject(f"store.save:nth={nth}:mode=corrupt"):
+        version = store.save(_snapshot(source, target))
+    with pytest.raises(StoreCorruption, match=damaged):
+        store.verify(version)
+    with pytest.raises(StoreCorruption, match=damaged):
+        QueryEngine.from_store(store, verify=True)
 
 
 def test_store_save_cv_result(tmp_path, enfr_pair, fast_config):

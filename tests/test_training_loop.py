@@ -5,14 +5,16 @@
 * per-approach epoch losses and step counts are pinned, so an edit to
   the shared loop that changes RNG interleaving, batching or loss
   accounting for any family fails here;
-* UnsupervisedProcrustes checkpoints and resumes bit for bit.
+* UnsupervisedProcrustes checkpoints and resumes bit for bit;
+* the calibration loss's cached seed/augmented id array follows every
+  change the epoch-end hook and a resume make to ``augmented``.
 """
 
 import numpy as np
 import pytest
 
 from repro import faults, obs
-from repro.approaches import APPROACHES, AliNet, ApproachConfig
+from repro.approaches import APPROACHES, AliNet, ApproachConfig, BootEA
 from repro.approaches.unsupervised import UnsupervisedProcrustes
 from repro.datagen import smoke_pair
 from repro.faults import InjectedFault
@@ -99,3 +101,32 @@ def test_procrustes_resume_is_bit_identical(smoke, tmp_path):
     for got, expected in zip(resumed._parameters(), reference._parameters()):
         np.testing.assert_array_equal(got.data, expected.data)
     np.testing.assert_array_equal(resumed.rotation, reference.rotation)
+
+
+def _calibration_reference(approach):
+    """The calibration loss as written before its id array was cached."""
+    pairs = ([(int(a), int(b)) for a, b in approach.seeds]
+             + list(approach.augmented.items()))
+    ids = np.array(pairs, dtype=np.int64)
+    e1 = approach.model.entities(ids[:, 0])
+    e2 = approach.model.entities(ids[:, 1])
+    return approach.calibration_weight * (e1 - e2).square().sum(axis=1).mean()
+
+
+def test_calibration_pairs_follow_the_epoch_hook_and_resume(smoke):
+    pair, split = smoke
+    approach = BootEA(ApproachConfig(dim=16, epochs=1, seed=0))
+    approach.fit(pair, split)
+
+    def check():
+        assert (approach._calibration_loss().item()
+                == _calibration_reference(approach).item())
+
+    check()
+    approach._after_epoch = lambda epoch, rng: approach.augmented.update(
+        {0: 1, 2: 3})
+    approach._end_epoch(2, np.random.default_rng(0))
+    assert approach.augmented == {0: 1, 2: 3}
+    check()
+    approach._load_extra_state({"augmented": [[4, 5]]})
+    check()
