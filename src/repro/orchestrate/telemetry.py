@@ -46,7 +46,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults import append_jsonl, atomic_write_json, open_jsonl, read_jsonl
+from ..faults import (append_jsonl, append_jsonl_many, atomic_write_json,
+                      open_jsonl, read_jsonl)
 from ..obs import get_registry
 from ..obs.live import (
     TELEMETRY_DIR,
@@ -215,15 +216,18 @@ class WorkerTelemetry:
         events = self.tracer.events
         pid = os.getpid()
         with self._lock:
-            while self._flushed < len(events):
-                event = dict(events[self._flushed])
+            fresh = events[self._flushed:]
+            stamped = []
+            for event in fresh:
+                event = dict(event)
                 event["pid"] = pid
                 event["worker"] = self.config.worker
                 event["trace_id"] = self.config.trace_id
                 if "ts" in event:
                     event["ts_unix"] = self.tracer.epoch_unix + event["ts"]
-                append_jsonl(self._trace_bus, event)
-                self._flushed += 1
+                stamped.append(event)
+            append_jsonl_many(self._trace_bus, stamped)
+            self._flushed += len(fresh)
 
 
 def install_worker_telemetry(config: WorkerTelemetryConfig | None,
@@ -380,14 +384,19 @@ class SweepTelemetry:
                     "pid": pid, "exitcode": exitcode})
 
     def job_event(self, spec, state: str, worker: int | None = None,
-                  payload: dict | None = None) -> None:
+                  payload: dict | None = None,
+                  at: float | None = None) -> None:
         """Record a job-state transition on the parent bus.
 
         ``payload`` (the ``execute_job`` result, passed on "done")
         contributes the quality fields the dashboard shows: the job's
         validation score and a diverged flag when a sentinel aborted it.
+        ``at`` (unix seconds) dates a transition the scheduler saw
+        before it could record it; the default is now.
         """
         record = {"type": "job_state", "job_id": spec.job_id, "state": state}
+        if at is not None:
+            record["ts_unix"] = at
         if worker is not None:
             record["worker"] = worker
         if state == "enqueued":
