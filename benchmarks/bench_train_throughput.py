@@ -53,31 +53,23 @@ def _make_batches(n_entities: int, batch_size: int, steps: int, seed: int):
     ]
 
 
-def _run_steps(runs, batches, n_entities, seed):
-    """Run the training steps of every ``(model, optimizer)`` in ``runs``
-    in lockstep — step i of every run before step i+1 of any — so the
-    runs share the host's conditions.  Each run draws its negatives from
-    its own generator seeded with ``seed``.  Returns one (per-step
-    seconds, final loss) pair per run.
-    """
-    negative_rngs = [np.random.default_rng(seed) for _ in runs]
-    timings = [[] for _ in runs]
-    losses = [float("nan")] * len(runs)
+def _run_steps(model, optimizer, batches, n_entities, seed):
+    """Run the training steps, returning (per-step seconds, final loss)."""
+    negative_rng = np.random.default_rng(seed)
+    timings = []
+    loss_value = float("nan")
     for batch in batches:
-        for index, (model, optimizer) in enumerate(runs):
-            negatives = uniform_corrupt(batch, n_entities, 1,
-                                        negative_rngs[index])
-            started = time.perf_counter()
-            optimizer.zero_grad()
-            positive = model.score(batch[:, 0], batch[:, 1], batch[:, 2])
-            negative = model.score(negatives[:, 0], negatives[:, 1],
-                                   negatives[:, 2])
-            loss = margin_ranking_loss(positive, negative)
-            loss.backward()
-            optimizer.step()
-            timings[index].append(time.perf_counter() - started)
-            losses[index] = float(loss.data)
-    return [(np.array(steps), loss) for steps, loss in zip(timings, losses)]
+        negatives = uniform_corrupt(batch, n_entities, 1, negative_rng)
+        started = time.perf_counter()
+        optimizer.zero_grad()
+        positive = model.score(batch[:, 0], batch[:, 1], batch[:, 2])
+        negative = model.score(negatives[:, 0], negatives[:, 1], negatives[:, 2])
+        loss = margin_ranking_loss(positive, negative)
+        loss.backward()
+        optimizer.step()
+        timings.append(time.perf_counter() - started)
+        loss_value = float(loss.data)
+    return np.array(timings), loss_value
 
 
 def measure_scale(
@@ -87,56 +79,40 @@ def measure_scale(
     warmup: int,
     optimizer_name: str = "adam",
     seed: int = 0,
-    repeats: int = 1,
-) -> list[dict]:
-    """Time dense and sparse paths on identical batches/seeds.
-
-    Returns ``repeats`` independent results (fresh model and optimizer
-    each) whose steps ran in lockstep.
-    """
+) -> dict:
+    """Time dense and sparse paths on identical batches/seeds."""
     batches = _make_batches(n_entities, batch_size, warmup + steps, seed)
-    results = [{} for _ in range(repeats)]
+    results = {}
     for label, enabled in (("dense", False), ("sparse", True)):
         previous = set_sparse_gradients(enabled)
         try:
-            runs = []
-            for _ in range(repeats):
-                model = TransE(n_entities, N_RELATIONS, DIM,
-                               np.random.default_rng(seed))
-                if optimizer_name == "adam":
-                    optimizer = Adam(model.parameters(), lr=0.001)
-                else:
-                    optimizer = SGD(model.parameters(), lr=0.01)
-                runs.append((model, optimizer))
-            measured = _run_steps(runs, batches, n_entities, seed=seed + 1)
+            model = TransE(n_entities, N_RELATIONS, DIM, np.random.default_rng(seed))
+            if optimizer_name == "adam":
+                optimizer = Adam(model.parameters(), lr=0.001)
+            else:
+                optimizer = SGD(model.parameters(), lr=0.01)
+            timings, loss = _run_steps(
+                model, optimizer, batches, n_entities, seed=seed + 1
+            )
         finally:
             set_sparse_gradients(previous)
-        for result, (timings, loss) in zip(results, measured):
-            timed = timings[warmup:]
-            median_s = float(np.median(timed))
-            result[label] = {
-                "median_step_ms": median_s * 1e3,
-                "mean_step_ms": float(timed.mean()) * 1e3,
-                "steps_per_sec": (1.0 / median_s) if median_s > 0
-                else float("inf"),
-                "final_loss": loss,
-            }
-    for result in results:
-        result["speedup"] = (result["dense"]["median_step_ms"]
-                             / result["sparse"]["median_step_ms"])
-        result["n_entities"] = n_entities
-        result["batch_size"] = batch_size
+        measured = timings[warmup:]
+        median_s = float(np.median(measured))
+        results[label] = {
+            "median_step_ms": median_s * 1e3,
+            "mean_step_ms": float(measured.mean()) * 1e3,
+            "steps_per_sec": (1.0 / median_s) if median_s > 0 else float("inf"),
+            "final_loss": loss,
+        }
+    results["speedup"] = (
+        results["dense"]["median_step_ms"] / results["sparse"]["median_step_ms"]
+    )
+    results["n_entities"] = n_entities
+    results["batch_size"] = batch_size
     return results
 
 
-def measure(smoke: bool = False, steps: int | None = None,
-            repeats: int = 1) -> list[dict]:
-    """Build ``repeats`` reports whose timed steps ran in lockstep.
-
-    Runs measured one after another see the host's speed at different
-    moments; lockstep runs see the same moments, so they differ only by
-    per-step jitter (what a perf gate's baseline should hold).
-    """
+def run(smoke: bool = False, steps: int | None = None) -> dict:
     scales = SMOKE_SCALES if smoke else FULL_SCALES
     if steps is None:
         steps = 10 if smoke else 30
@@ -144,7 +120,7 @@ def measure(smoke: bool = False, steps: int | None = None,
     # smoke mode uses SGD: dense/sparse are then *exactly* equivalent at
     # any row coverage, so final losses double as a correctness check
     optimizer_name = "sgd" if smoke else "adam"
-    reports = [{
+    report = {
         "bench": "train_throughput",
         "mode": "smoke" if smoke else "full",
         "optimizer": optimizer_name,
@@ -153,21 +129,14 @@ def measure(smoke: bool = False, steps: int | None = None,
         "steps_timed": steps,
         "warmup_steps": warmup,
         "scales": [],
-    } for _ in range(repeats)]
+    }
     for n_entities, batch_size in scales:
-        results = measure_scale(n_entities, batch_size, steps, warmup,
-                                optimizer_name, repeats=repeats)
-        for report, result in zip(reports, results):
-            report["scales"].append(result)
-    return reports
-
-
-def run(smoke: bool = False, steps: int | None = None) -> dict:
-    report = measure(smoke, steps)[0]
-    for result in report["scales"]:
+        result = measure_scale(
+            n_entities, batch_size, steps, warmup, optimizer_name
+        )
+        report["scales"].append(result)
         print(
-            f"  entities={result['n_entities']:>6d} "
-            f"batch={result['batch_size']:<4d} "
+            f"  entities={n_entities:>6d} batch={batch_size:<4d} "
             f"dense={result['dense']['median_step_ms']:8.2f} ms/step  "
             f"sparse={result['sparse']['median_step_ms']:8.2f} ms/step  "
             f"speedup={result['speedup']:6.1f}x",

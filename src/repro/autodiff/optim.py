@@ -28,8 +28,6 @@ collection — and round-trips through ``state_dict()`` /
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .module import Parameter
@@ -251,16 +249,6 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        # Scratch for the sparse update: grown to the largest step seen,
-        # sliced per step, never part of the state.
-        self._scratch: dict[str, np.ndarray] = {}
-
-    def _buffer(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buffer = self._scratch.get(key)
-        if buffer is None or buffer.size < size:
-            buffer = self._scratch[key] = np.empty(size)
-        return buffer[:size].reshape(shape)
 
     def _init_state(self, parameter: Parameter, state: dict) -> None:
         if "m" not in state:
@@ -278,34 +266,14 @@ class Adam(Optimizer):
             grad = grad.coalesce()
             rows, values = grad.indices, grad.values
             t[rows] += 1
-            t_rows = _per_row(t[rows], ndim)
-            # The lazy-Adam formula's operations in its order, in reused
-            # buffers ("clip" keeps np.take from buffering its output).
-            m_rows = np.take(m, rows, axis=0, out=self._buffer("m", values.shape),
-                             mode="clip")
-            v_rows = np.take(v, rows, axis=0, out=self._buffer("v", values.shape),
-                             mode="clip")
-            scratch = self._buffer("scratch", values.shape)
-            correction = self._buffer("correction", t_rows.shape)
-            m_rows *= self.beta1  # m = beta1 * m + (1 - beta1) * g
-            m_rows += np.multiply(values, 1.0 - self.beta1, out=scratch)
-            v_rows *= self.beta2  # v = beta2 * v + (1 - beta2) * g**2
-            np.square(values, out=scratch)
-            scratch *= 1.0 - self.beta2
-            v_rows += scratch
+            t_rows = t[rows]
+            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * values
+            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * values**2
             m[rows] = m_rows
             v[rows] = v_rows
-            np.power(self.beta1, t_rows, out=correction)
-            m_rows /= np.subtract(1.0, correction, out=correction)  # m_hat
-            np.power(self.beta2, t_rows, out=correction)
-            v_rows /= np.subtract(1.0, correction, out=correction)  # v_hat
-            m_rows *= self.lr  # lr * m_hat / (sqrt(v_hat) + eps)
-            np.sqrt(v_rows, out=v_rows)
-            v_rows += self.eps
-            m_rows /= v_rows
-            np.take(parameter.data, rows, axis=0, out=scratch, mode="clip")
-            scratch -= m_rows
-            parameter.data[rows] = scratch
+            m_hat = m_rows / _per_row(1.0 - self.beta1**t_rows, ndim)
+            v_hat = v_rows / _per_row(1.0 - self.beta2**t_rows, ndim)
+            parameter.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         else:
             t += 1
             m *= self.beta1

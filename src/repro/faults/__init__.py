@@ -44,8 +44,7 @@ from .inject import (
     parse_plan,
     reset,
 )
-from .records import (ProgressFile, append_jsonl, append_jsonl_many,
-                      open_jsonl, read_jsonl)
+from .records import ProgressFile, append_jsonl, open_jsonl, read_jsonl
 
 __all__ = [
     "ENV_VAR", "KILL_EXIT_CODE",
@@ -55,6 +54,5 @@ __all__ = [
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
     "atomic_write_lines", "atomic_write_with", "atomic_write_npz",
     "atomic_write_npy", "atomic_write_hashed", "json_bytes", "sha256_file",
-    "read_jsonl", "open_jsonl", "append_jsonl", "append_jsonl_many",
-    "ProgressFile",
+    "read_jsonl", "open_jsonl", "append_jsonl", "ProgressFile",
 ]

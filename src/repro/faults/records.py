@@ -15,8 +15,7 @@ quality bus, the sweep telemetry buses — and every resume file
   Opening terminates a torn last line left by a crashed writer, so the
   fragment costs exactly one skipped line and new records stay
   readable; each record is one sorted-key line written in one
-  ``write`` call and flushed (:func:`append_jsonl_many` writes and
-  flushes a whole batch of lines at once).
+  ``write`` call and flushed.
 * :class:`ProgressFile` — completed-job store keyed by job id, stamped
   with a config fingerprint and rewritten atomically after every job.
 """
@@ -31,8 +30,7 @@ from ..fingerprint import config_fingerprint
 from .atomic import atomic_write_json
 from .inject import fault_point
 
-__all__ = ["read_jsonl", "open_jsonl", "append_jsonl", "append_jsonl_many",
-           "ProgressFile"]
+__all__ = ["read_jsonl", "open_jsonl", "append_jsonl", "ProgressFile"]
 
 
 def read_jsonl(path: Path | str, offset: int = 0, *,
@@ -88,25 +86,12 @@ def append_jsonl(handle, record: dict, site: str | None = None) -> None:
     ``site`` names a fault point fired with the line's bytes just
     before the write, so the crash-replay suite can tear it.
     """
-    line = _jsonl_line(record)
+    line = json.dumps(record, sort_keys=True, default=str).encode("utf-8") \
+        + b"\n"
     if site is not None:
         fault_point(site, path=handle.name, data=line)
     handle.write(line)
     handle.flush()
-
-
-def append_jsonl_many(handle, records) -> None:
-    """Append each of ``records`` as one line, in one ``write`` call
-    and one flush: a batch costs one system call, not one per line."""
-    blob = b"".join(_jsonl_line(record) for record in records)
-    if blob:
-        handle.write(blob)
-        handle.flush()
-
-
-def _jsonl_line(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True, default=str).encode("utf-8") \
-        + b"\n"
 
 
 class ProgressFile:

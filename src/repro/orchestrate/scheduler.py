@@ -10,13 +10,9 @@ The scheduler is deliberately simple and deliberately paranoid:
   ``os._exit``) therefore always leaves an identifiable torn job, which
   is requeued to a fresh worker — up to ``max_attempts`` times, after
   which it is reported as failed instead of looping forever on a
-  deterministic crash.  Jobs go only to workers that reported ready,
-  so a job is never ``running`` while its worker still boots; after
-  ``max_attempts`` workers in a row die before that, the pending jobs
-  fail instead of waiting for a worker that never starts.
+  deterministic crash.
 * **Plain-data results.**  Workers return JSON-friendly payloads plus a
-  raw :class:`~repro.obs.registry.MetricsRegistry` snapshot over its
-  own result pipe, written synchronously (no feeder thread); the parent
+  raw :class:`~repro.obs.registry.MetricsRegistry` snapshot; the parent
   folds the snapshot in via ``merge_snapshot`` so per-worker counters
   and histograms aggregate exactly as PR 3 designed.
 * **Determinism by construction.**  The scheduler never influences job
@@ -34,11 +30,11 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import queue as queue_module
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection
 
 from ..faults import fault_point
 from ..obs import MetricsRegistry, get_registry, set_registry, span
@@ -46,7 +42,7 @@ from ..obs.registry import label_snapshot
 
 __all__ = ["ScheduleStats", "run_jobs"]
 
-# How long the parent waits on the result pipes before checking worker
+# How long the parent waits on the result queue before checking worker
 # liveness; purely a responsiveness knob, never a correctness one.
 _POLL_SECONDS = 0.1
 
@@ -76,14 +72,9 @@ def _job_attrs(spec) -> dict:
     return attrs
 
 
-def _worker_main(task_q, results, runner, runner_kwargs,
+def _worker_main(task_q, result_q, runner, runner_kwargs,
                  telemetry_cfg=None) -> None:
     """Worker loop: take a spec, run it, ship the payload + metrics.
-
-    ``results`` is the write end of this worker's own result pipe.
-    ``send`` pickles and writes on the calling thread, so a result is
-    in the pipe before the worker does its telemetry bookkeeping, and
-    a worker killed later can never take a reported result with it.
 
     With ``telemetry_cfg`` (a :class:`~repro.orchestrate.telemetry.
     WorkerTelemetryConfig`) the worker joins the sweep's distributed
@@ -98,10 +89,6 @@ def _worker_main(task_q, results, runner, runner_kwargs,
         from .telemetry import install_worker_telemetry
 
         telemetry = install_worker_telemetry(telemetry_cfg, task_q=task_q)
-    # The start-up crash site: mode=kill here simulates a worker dying
-    # before it can take a job.
-    fault_point("sweep.worker")
-    results.send(("ready", None))
     while True:
         spec = task_q.get()
         if spec is None:
@@ -112,17 +99,19 @@ def _worker_main(task_q, results, runner, runner_kwargs,
         if telemetry is not None:
             telemetry.job_started(spec.job_id)
         set_registry(MetricsRegistry())
+        ok = False
         try:
             with span("job", **_job_attrs(spec)):
                 payload = runner(spec, **runner_kwargs)
-            message = ("done", spec.job_id, payload,
-                       get_registry().snapshot(include_raw=True))
+                snapshot = get_registry().snapshot(include_raw=True)
+            # the job is done now, not when the parent gets to the result
+            result_q.put(("done", spec.job_id, payload, snapshot, time.time()))
+            ok = True
         except Exception as error:  # noqa: BLE001 — forwarded to parent
-            message = ("error", spec.job_id,
-                       f"{type(error).__name__}: {error}")
-        results.send(message)
+            result_q.put(("error", spec.job_id,
+                          f"{type(error).__name__}: {error}"))
         if telemetry is not None:
-            telemetry.job_finished(spec.job_id, message[0] == "done")
+            telemetry.job_finished(spec.job_id, ok)
     if telemetry is not None:
         telemetry.stop()
 
@@ -187,7 +176,7 @@ def run_jobs(
             telemetry.job_event(seen[job_id], "restored")
 
     def complete(spec, payload, snapshot=None, worker=None,
-                 received=None) -> None:
+                 finished=None) -> None:
         results[spec.job_id] = payload
         stats.executed.append(spec.job_id)
         counters["completed"].inc()
@@ -203,7 +192,7 @@ def run_jobs(
         if telemetry is not None:
             telemetry.job_event(spec, "done", worker=worker,
                                 payload=payload if isinstance(payload, dict)
-                                else None, at=received)
+                                else None, at=finished)
         if on_complete is not None:
             on_complete(spec, payload)
 
@@ -249,17 +238,15 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
                 fail(spec, f"{type(error).__name__}: {error}")
         return
     ctx = multiprocessing.get_context("fork")
+    result_q = ctx.Queue()
     specs_by_id = {spec.job_id: spec for spec in pending}
     attempts = {job_id: 0 for job_id in specs_by_id}
     outstanding = set(specs_by_id)
 
-    workers: dict[int, tuple] = {}  # pid -> (process, task_q, inbox)
+    workers: dict[int, tuple] = {}  # pid -> (process, task_q)
     assigned: dict[int, str | None] = {}  # pid -> in-flight job id
     completed_by: dict[int, int] = {}  # pid -> jobs finished by worker
     worker_idx: dict[int, int] = {}  # pid -> stable worker index
-    ready: set[int] = set()  # pids whose worker has started up
-    boot_deaths = 0  # workers dead before ready since the last ready
-    boot_exit = None  # exit code of the last of them
     idx_counter = itertools.count()
 
     def spawn() -> None:
@@ -269,19 +256,15 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
         idx = (telemetry.allocate_worker() if telemetry is not None
                else next(idx_counter))
         task_q = ctx.Queue()
-        inbox, outbox = ctx.Pipe(duplex=False)
         telemetry_cfg = (telemetry.worker_config(idx)
                          if telemetry is not None else None)
         process = ctx.Process(
             target=_worker_main,
-            args=(task_q, outbox, runner, runner_kwargs, telemetry_cfg),
+            args=(task_q, result_q, runner, runner_kwargs, telemetry_cfg),
             daemon=True,
         )
         process.start()
-        # only the worker holds the write end, so its pipe reads EOF
-        # once it exits
-        outbox.close()
-        workers[process.pid] = (process, task_q, inbox)
+        workers[process.pid] = (process, task_q)
         assigned[process.pid] = None
         completed_by[process.pid] = 0
         worker_idx[process.pid] = idx
@@ -289,14 +272,11 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
             telemetry.worker_spawned(idx, process.pid)
 
     def dispatch() -> None:
-        """Hand pending jobs to idle, started workers (assignment before
-        send): a job is ``running`` from the moment a worker can start
-        it, never while its worker still boots."""
-        for pid, (process, task_q, _) in workers.items():
+        """Hand pending jobs to idle workers (assignment before send)."""
+        for pid, (process, task_q) in workers.items():
             if not pending:
                 break
-            if (assigned[pid] is None and pid in ready
-                    and process.is_alive()):
+            if assigned[pid] is None and process.is_alive():
                 spec = pending.popleft()
                 attempts[spec.job_id] += 1
                 assigned[pid] = spec.job_id
@@ -331,58 +311,43 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
             telemetry.job_event(specs_by_id[job_id], "requeued")
         pending.appendleft(specs_by_id[job_id])
 
-    def handle(pid: int, message, received: float) -> None:
-        kind, job_id, *rest = message
-        nonlocal boot_deaths
-        if kind == "ready":
-            ready.add(pid)
-            boot_deaths = 0
-            return
-        source = None
-        if assigned.get(pid) == job_id:
-            assigned[pid] = None
-            source = worker_idx.get(pid)
-            if kind == "done":
-                completed_by[pid] += 1
-        if job_id in outstanding:
-            if kind == "done":
-                payload, snapshot = rest
-                complete(specs_by_id[job_id], payload, snapshot,
-                         worker=source, received=received)
-                outstanding.discard(job_id)
-            else:  # "error": retry, then fail
-                requeue_or_fail(job_id, rest[0])
-
-    def receive(pid: int) -> list:
-        """Every message already in ``pid``'s pipe with its receipt
-        time; a pipe at EOF (worker gone) or torn mid-message is
-        closed."""
-        inbox = workers[pid][2]
-        messages = []
-        try:
-            while not inbox.closed and inbox.poll():
-                messages.append((pid, inbox.recv(), time.time()))
-        except (EOFError, OSError):
-            inbox.close()
-        return messages
-
     for _ in range(min(jobs, len(pending))):
         spawn()
     dispatch()
 
     try:
         while outstanding:
-            readable = connection.wait(
-                [inbox for _, _, inbox in workers.values()
-                 if not inbox.closed],
-                timeout=_POLL_SECONDS)
-            # Receive from every ready pipe before handling any message:
-            # a result's receipt time must not wait on another job's
-            # on_complete (progress file write + fsync).
-            arrived = [message for pid, (_, _, inbox) in workers.items()
-                       if inbox in readable for message in receive(pid)]
-            for message in arrived:
-                handle(*message)
+            # Drain everything already queued before judging liveness,
+            # so a worker that reported its result and *then* died is
+            # never treated as having torn the job.
+            drained = True
+            try:
+                message = result_q.get(timeout=_POLL_SECONDS)
+            except queue_module.Empty:
+                drained = False
+            while True:
+                if drained:
+                    kind, job_id, *rest = message
+                    source = None
+                    for pid, inflight in assigned.items():
+                        if inflight == job_id:
+                            assigned[pid] = None
+                            source = worker_idx.get(pid)
+                            if kind == "done":
+                                completed_by[pid] += 1
+                    if job_id in outstanding:
+                        if kind == "done":
+                            payload, snapshot, finished = rest
+                            complete(specs_by_id[job_id], payload, snapshot,
+                                     worker=source, finished=finished)
+                            outstanding.discard(job_id)
+                        else:  # "error": retry, then fail
+                            requeue_or_fail(job_id, rest[0])
+                try:
+                    message = result_q.get_nowait()
+                    drained = True
+                except queue_module.Empty:
+                    break
 
             if telemetry is not None:
                 # Tail worker heartbeat buses: updates per-worker gauges
@@ -394,25 +359,17 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
                     # death-requeue machinery below.
                     for pid in list(workers):
                         if worker_idx.get(pid) in telemetry.stalled_workers:
-                            process = workers[pid][0]
+                            process, _ = workers[pid]
                             if process.is_alive():
                                 process.terminate()
 
             for pid in list(workers):
-                process, task_q, inbox = workers[pid]
+                process, task_q = workers[pid]
                 if process.is_alive():
                     continue
-                # A worker that reported its result and *then* died has
-                # not torn the job: read its pipe to EOF first.
-                for message in receive(pid):
-                    handle(*message)
                 process.join()
                 stats.worker_deaths += 1
                 torn = assigned.pop(pid, None)
-                if pid not in ready:
-                    boot_deaths += 1
-                    boot_exit = process.exitcode
-                ready.discard(pid)
                 was_fresh = completed_by.pop(pid, 0) == 0
                 del workers[pid]
                 if telemetry is not None:
@@ -426,35 +383,25 @@ def _run_pool(pending, jobs, runner, runner_kwargs, complete, fail,
                         charge=was_fresh,
                     )
                 task_q.close()
-                inbox.close()
-            if boot_deaths >= max(1, max_attempts):
-                # no worker starts: fail what waits rather than respawn
-                # forever (a job only reaches a worker that started)
-                for spec in pending:
-                    fail(spec, f"{boot_deaths} workers in a row died "
-                               f"while starting up (last exit code "
-                               f"{boot_exit})")
-                    outstanding.discard(spec.job_id)
-                pending.clear()
             needed = min(jobs, len(pending) + sum(
                 1 for inflight in assigned.values() if inflight is not None))
             while outstanding and len(workers) < max(1, needed):
                 spawn()
             dispatch()
     finally:
-        for process, task_q, _ in workers.values():
+        for pid, (process, task_q) in workers.items():
             if process.is_alive():
                 try:
                     task_q.put(None)
                 except (OSError, ValueError):  # pragma: no cover
                     pass
-        for process, task_q, inbox in workers.values():
-            inbox.close()
+        for process, task_q in workers.values():
             process.join(timeout=5)
             if process.is_alive():  # pragma: no cover — stuck worker
                 process.terminate()
                 process.join(timeout=5)
         # Cancel the feeder threads so interpreter shutdown never blocks
         # on a queue the (now dead) workers will never drain.
-        for _, task_q, _ in workers.values():
+        result_q.cancel_join_thread()
+        for _, task_q in workers.values():
             task_q.cancel_join_thread()

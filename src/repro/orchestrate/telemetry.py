@@ -46,8 +46,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults import (append_jsonl, append_jsonl_many, atomic_write_json,
-                      open_jsonl, read_jsonl)
+from ..faults import append_jsonl, atomic_write_json, open_jsonl, read_jsonl
 from ..obs import get_registry
 from ..obs.live import (
     TELEMETRY_DIR,
@@ -216,18 +215,15 @@ class WorkerTelemetry:
         events = self.tracer.events
         pid = os.getpid()
         with self._lock:
-            fresh = events[self._flushed:]
-            stamped = []
-            for event in fresh:
-                event = dict(event)
+            while self._flushed < len(events):
+                event = dict(events[self._flushed])
                 event["pid"] = pid
                 event["worker"] = self.config.worker
                 event["trace_id"] = self.config.trace_id
                 if "ts" in event:
                     event["ts_unix"] = self.tracer.epoch_unix + event["ts"]
-                stamped.append(event)
-            append_jsonl_many(self._trace_bus, stamped)
-            self._flushed += len(fresh)
+                append_jsonl(self._trace_bus, event)
+                self._flushed += 1
 
 
 def install_worker_telemetry(config: WorkerTelemetryConfig | None,
@@ -391,8 +387,9 @@ class SweepTelemetry:
         ``payload`` (the ``execute_job`` result, passed on "done")
         contributes the quality fields the dashboard shows: the job's
         validation score and a diverged flag when a sentinel aborted it.
-        ``at`` (unix seconds) dates a transition the scheduler saw
-        before it could record it; the default is now.
+        ``at`` (unix seconds) dates a transition that happened before
+        the parent learned of it, e.g. a worker finishing a job; the
+        default is now.
         """
         record = {"type": "job_state", "job_id": spec.job_id, "state": state}
         if at is not None:

@@ -4,8 +4,7 @@ Covers the SparseGrad container (coalescing, densification, merging),
 gather's sparse backward and index validation, mixed sparse+dense
 accumulation, the optimizers' sparse fast paths, optimizer state_dict
 round-trips, the coalesce kernel against an ``np.add.at`` reference,
-append-only merging, the buffered lazy Adam and the densification
-counter.
+append-only merging and the densification counter.
 """
 
 import numpy as np
@@ -483,7 +482,7 @@ def test_sparse_roundtrip_preserves_pending_catchup():
 
 
 # ---------------------------------------------------------------------------
-# the coalesce kernel, append-only merging and the buffered lazy Adam
+# the coalesce kernel and append-only merging
 # ---------------------------------------------------------------------------
 @st.composite
 def _row_gradients(draw):
@@ -563,53 +562,6 @@ def test_coalesce_runs_the_kernel_once_per_step(monkeypatch):
     merged = p.grad.merged(SparseGrad([0], np.ones((1, 4)), p.shape))
     merged.coalesce()  # a merge invalidates the memo
     assert len(calls) == 4
-
-
-def _lazy_adam_reference(data, m, v, t, rows, values,
-                         lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The lazy-Adam row update as written before it used reused
-    buffers, kept verbatim (``self.`` dropped)."""
-    ndim = max(data.ndim, 1)
-
-    def _per_row(values, ndim):
-        values = np.asarray(values)
-        return values.reshape(values.shape + (1,) * (ndim - 1))
-
-    t[rows] += 1
-    t_rows = t[rows]
-    m_rows = beta1 * m[rows] + (1.0 - beta1) * values
-    v_rows = beta2 * v[rows] + (1.0 - beta2) * values**2
-    m[rows] = m_rows
-    v[rows] = v_rows
-    m_hat = m_rows / _per_row(1.0 - beta1**t_rows, ndim)
-    v_hat = v_rows / _per_row(1.0 - beta2**t_rows, ndim)
-    data[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-@pytest.mark.parametrize("shape", [(40, 5), (40,), (40, 3, 2)])
-def test_buffered_lazy_adam_is_bit_identical_to_the_formula(shape):
-    """50 sparse steps whose row counts grow and shrink: rows left in a
-    buffer by a larger step must not leak into a smaller one."""
-    rng = np.random.default_rng(11)
-    data = rng.normal(size=shape)
-    p = Parameter(data.copy())
-    optimizer = Adam([p], lr=0.01)
-    m, v = np.zeros(shape), np.zeros(shape)
-    t = np.zeros(shape[0], dtype=np.int64)
-    for step in range(50):
-        n = (30, 3, 17, 1, 40, 8, 25)[step % 7]
-        batch = rng.integers(0, shape[0], size=n + n // 2)
-        values = rng.normal(size=batch.shape + shape[1:])
-        optimizer.zero_grad()
-        p.grad = SparseGrad(batch, values, shape)
-        optimizer.step()
-        grad = p.grad.coalesce()
-        _lazy_adam_reference(data, m, v, t, grad.indices, grad.values, lr=0.01)
-        np.testing.assert_array_equal(p.data, data)
-    state = optimizer.state_dict()["state"][0]
-    np.testing.assert_array_equal(state["m"], m)
-    np.testing.assert_array_equal(state["v"], v)
-    np.testing.assert_array_equal(state["t"], t)
 
 
 @pytest.fixture

@@ -19,8 +19,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (append_jsonl, append_jsonl_many, open_jsonl,
-                          read_jsonl)
+from repro.faults import append_jsonl, open_jsonl, read_jsonl
 
 MALFORMED = [b"{broken", b"[1, 2]", b"null", b"42", b"not json",
              b'{"a": ', b"\xff\xfe{", b'"text"']
@@ -145,18 +144,3 @@ def test_append_after_torn_tail_costs_one_skipped_line(tmp_path_factory,
 def test_missing_file_reads_empty(tmp_path):
     assert read_jsonl(tmp_path / "absent.jsonl", 7) == ([], 7, 0)
     assert read_jsonl(tmp_path / "absent.jsonl", live=True) == ([], 0, 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(batch=st.lists(records, max_size=6))
-def test_batch_append_writes_the_same_bytes_as_single_appends(
-        tmp_path_factory, batch):
-    directory = tmp_path_factory.mktemp("batch")
-    with open_jsonl(directory / "one.jsonl") as handle:
-        for record in batch:
-            append_jsonl(handle, record)
-    with open_jsonl(directory / "many.jsonl") as handle:
-        append_jsonl_many(handle, batch)
-    assert (directory / "many.jsonl").read_bytes() == \
-        (directory / "one.jsonl").read_bytes()
-    assert read_jsonl(directory / "many.jsonl")[0] == batch

@@ -1,14 +1,9 @@
 """`make perf-gate` in miniature, as a fast test.
 
-Seeds a fresh temporary ledger with genuine in-process smoke
-train-throughput bench runs, then checks the two halves of the gate
-contract: real run-to-run jitter passes, an injected 2x slowdown (the
-``REPRO_GATE_INJECT_FACTOR`` CI hook) fails with exit code 1.
-
-The runs are measured in lockstep (``bench.measure(repeats=...)``): on
-a shared host whose speed swings 1.5-2x over tens of milliseconds to
-seconds, runs taken one after another differ by as much as the
-injected slowdown, which no gate can tell apart from it.
+Seeds a fresh temporary ledger by running the in-process smoke
+train-throughput bench a few times, then checks the two halves of the
+gate contract: real run-to-run jitter passes, an injected 2x slowdown
+(the ``REPRO_GATE_INJECT_FACTOR`` CI hook) fails with exit code 1.
 """
 
 import os
@@ -28,8 +23,6 @@ GATED_METRICS = ["steps_per_second", "median_step_ms"]
 
 N_RUNS = 6  # 5-run trailing baseline + the current run
 
-TIMED_STEPS = 64  # per run: medians of fewer steps spread too wide for 2x
-
 
 @pytest.fixture(scope="module")
 def smoke_ledger(tmp_path_factory):
@@ -42,16 +35,21 @@ def smoke_ledger(tmp_path_factory):
         import bench_train_throughput as bench
     finally:
         sys.path.remove(str(BENCH_DIR))
-    reports = bench.measure(smoke=True, steps=TIMED_STEPS, repeats=N_RUNS)
+    saved_report_path = bench.REPORT_PATH
     saved_env = os.environ.get("REPRO_LEDGER_PATH")
-    os.environ["REPRO_LEDGER_PATH"] = str(ledger_path)
+    bench.REPORT_PATH = tmp / "BENCH_train_throughput.json"
+    os.environ.pop("REPRO_LEDGER_PATH", None)
     try:
-        for report in reports:
+        # one unrecorded warmup run: cold caches would otherwise widen
+        # the baseline spread enough to blunt the MAD z-score
+        bench.run(smoke=True, steps=8)
+        os.environ["REPRO_LEDGER_PATH"] = str(ledger_path)
+        for _ in range(N_RUNS):
             # each bench process records once; emulate fresh processes
             _common._RECORDED_BENCHES.discard("BENCH_train_throughput")
-            _common.write_json_report(tmp / "BENCH_train_throughput.json",
-                                      report)
+            bench.run(smoke=True, steps=8)
     finally:
+        bench.REPORT_PATH = saved_report_path
         if saved_env is None:
             os.environ.pop("REPRO_LEDGER_PATH", None)
         else:

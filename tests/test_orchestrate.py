@@ -4,8 +4,6 @@ fingerprint."""
 
 import json
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -270,16 +268,6 @@ def _poison_runner(task):
     return {"n": task.n}
 
 
-def _report_then_die_runner(task):
-    if task.n < 2:
-        # the worker exits 10 ms after reporting, idle or holding the
-        # next job
-        threading.Timer(0.01, os._exit, args=(137,)).start()
-    else:
-        time.sleep(0.3)
-    return {"n": task.n}
-
-
 def _flaky_runner(task):
     faults.fault_point("sweep.job.test")
     return {"n": task.n}
@@ -312,28 +300,6 @@ def test_run_jobs_fails_poison_job_but_completes_rest():
     assert "task_1" in stats.failed
     assert "died" in stats.failed["task_1"]
     assert stats.worker_deaths >= 2  # one per charged attempt
-
-
-def test_run_jobs_keeps_results_of_workers_that_die_after_reporting():
-    specs = [_Task(n) for n in range(4)]
-    results, stats = run_jobs(specs, jobs=2, runner=_report_then_die_runner,
-                              max_attempts=1)
-    assert results == {f"task_{n}": {"n": n} for n in range(4)}
-    assert not stats.failed
-    assert stats.worker_deaths >= 1
-
-
-def test_run_jobs_fails_pending_jobs_when_no_worker_starts():
-    faults.install("sweep.worker:mode=kill")
-    try:
-        results, stats = run_jobs([_Task(n) for n in range(3)], jobs=2,
-                                  runner=_ok_runner, max_attempts=2)
-    finally:
-        faults.install(None)
-    assert results == {}
-    assert sorted(stats.failed) == ["task_0", "task_1", "task_2"]
-    assert all("starting up" in reason for reason in stats.failed.values())
-    assert stats.worker_deaths >= 2
 
 
 def test_run_jobs_reports_worker_exceptions():
